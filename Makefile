@@ -3,7 +3,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test obs chaos chaos-pressure report bench bench-smoke \
     scale scale-smoke smp smp-smoke regimes regimes-smoke sweep \
-    sweep-smoke missions-lint matrix-drift crash integrity lint docs-lint
+    sweep-smoke missions-lint matrix-drift crash integrity lint docs-lint \
+    perfbench-check
 
 # Tier-1 suite (the repo's acceptance bar) + the observability tests.
 verify: test obs
@@ -42,6 +43,21 @@ bench:
 
 bench-smoke:
 	$(PYTHON) -m repro.exp bench --smoke
+
+# Benchmark output gate: one rep of every perfbench workload checked
+# against perfbench/reference.json (simulated outputs, event counts),
+# failing unless the result line reports "correct": true, then the
+# benchmark's own tests. A reordered same-time tie or a changed event
+# count fails here.
+PERFBENCH_OUT = $${TMPDIR:-/tmp}/perfbench-check.out
+
+perfbench-check:
+	$(PYTHON) perfbench/run.py --workload all --seconds 0 --trace 0 \
+	    | tee $(PERFBENCH_OUT)
+	tail -n 1 $(PERFBENCH_OUT) | $(PYTHON) -c 'import json, sys; \
+	    sys.exit(0 if json.load(sys.stdin)["correct"] is True \
+	    else "perfbench output check failed")'
+	$(PYTHON) -m pytest perfbench -q
 
 # Multi-volume USBS scale-out + failure-containment experiment
 # (results/scale.json; gates enforced at full scale). `scale-smoke` is

@@ -15,9 +15,13 @@ A notification handler that needs to communicate (e.g. a paged stretch
 driver that must talk to the USD) simply unblocks a *worker thread*; the
 combination is an *entry* (the MMEntry, in :mod:`repro.mm.mmentry`).
 
-The domain is implemented as one simulator process which alternates
-between handling pending events and stepping runnable threads,
-acquiring CPU from the CPU scheduler for every burst. All costs flow
+The domain is implemented as one simulator process whose body is a
+single flat loop. Each pass either runs one activation (when any
+channel has undelivered events) or lets the ULTS pick the next runnable
+thread round-robin and executes that thread's next effect inline; the
+process yields only to wait for a CPU burst or, when idle, for its wake
+event. No generator is created per step, and the pending-event and
+runnable checks read plain counters and states. All costs flow
 through the shared :class:`~repro.hw.cpu.CostMeter`: kernel and MMU code
 charge primitives as they execute, and the domain converts the
 accumulated nanoseconds into scheduled compute time after each step —
@@ -129,139 +133,145 @@ class Domain:
 
     # -- execution ----------------------------------------------------------------
 
-    def _has_pending_events(self):
-        return any(channel.pending for channel in self.channels)
-
     def _runnable_thread(self):
-        """Round-robin choice among runnable threads."""
-        n = len(self.threads)
-        for offset in range(n):
-            thread = self.threads[(self._rr_next + offset) % n]
-            if thread.runnable:
-                self._rr_next = (self._rr_next + offset + 1) % n
-                return thread
-        return None
+        """Round-robin choice among runnable threads.
 
-    def _charge_meter(self):
-        """Convert accumulated primitive costs into scheduled CPU time."""
-        ns = self.meter.take()
-        if ns:
-            return self.cpu.consume(ns)
-        return None
+        Scans from ``_rr_next`` to the end, then from the front up to
+        ``_rr_next``, and moves ``_rr_next`` past the thread chosen.
+        """
+        threads = self.threads
+        n = len(threads)
+        start = index = self._rr_next
+        runnable = ThreadState.RUNNABLE
+        while index < n:
+            if threads[index].state is runnable:
+                break
+            index += 1
+        else:
+            index = 0
+            while index < start:
+                if threads[index].state is runnable:
+                    break
+                index += 1
+            else:
+                return None
+        self._rr_next = index + 1 if index + 1 < n else 0
+        return threads[index]
 
     def _run(self):
+        # One flat loop per resume: the activation drain, the ULTS
+        # choice and the chosen thread's effect all run inline, so a
+        # step costs no generator frames beyond this one.
         sim = self.sim
+        meter = self.meter
+        channels = self.channels
         while not self.dead:
-            has_events = self._has_pending_events()
-            thread = None if has_events else self._runnable_thread()
-            if not has_events and thread is None:
+            pending = False
+            for channel in channels:
+                if channel.sent != channel.acked:
+                    pending = True
+                    break
+
+            if pending:
+                # One activation: drain events through the notification
+                # handlers, where blocking and IDC are disallowed.
+                self.activations += 1
+                self._c_activations.inc()
+                meter.charge("activate")
+                self.in_activation_handler = True
+                try:
+                    for channel in list(channels):
+                        if channel.sent == channel.acked:
+                            continue
+                        for payload in channel.collect():
+                            meter.charge("demux_event")
+                            if channel.handler is not None:
+                                channel.handler(payload)
+                finally:
+                    self.in_activation_handler = False
+                # Leaving the activation handler enters the ULTS (§6.5
+                # step 4).
+                meter.charge("ults_schedule")
+                ns = meter.take()
+                if ns:
+                    yield self.cpu.consume(ns)
+                continue
+
+            thread = self._runnable_thread()
+            if thread is None:
                 if self._wake.triggered:
                     self._wake = sim.event(self._wake_name)
                     continue
                 yield self._wake
                 continue
-            if has_events:
-                yield from self._activate()
-                continue
-            yield from self._step(thread)
 
-    def _activate(self):
-        """One activation: drain events through notification handlers."""
-        self.activations += 1
-        self._c_activations.inc()
-        self.meter.charge("activate")
-        self.in_activation_handler = True
-        try:
-            for channel in list(self.channels):
-                if not channel.pending:
+            # Execute one effect of the chosen thread.
+            if thread is not self._last_thread:
+                meter.charge("thread_switch")
+                self._last_thread = thread
+            effect = thread.pending_effect
+            if effect is None:
+                try:
+                    if thread.next_throw is not None:
+                        exc, thread.next_throw = thread.next_throw, None
+                        effect = thread.gen.throw(exc)
+                    else:
+                        value, thread.next_send = thread.next_send, None
+                        effect = thread.gen.send(value)
+                except StopIteration as stop:
+                    thread.state = ThreadState.DEAD
+                    thread.done.trigger(stop.value)
+                    effect = None
+                if effect is None:  # thread finished
+                    ns = meter.take()
+                    if ns:
+                        yield self.cpu.consume(ns)
                     continue
-                for payload in channel.collect():
-                    self.meter.charge("demux_event")
-                    if channel.handler is not None:
-                        channel.handler(payload)
-        finally:
-            self.in_activation_handler = False
-        # Leaving the activation handler enters the ULTS (§6.5 step 4).
-        self.meter.charge("ults_schedule")
-        burst = self._charge_meter()
-        if burst is not None:
-            yield burst
+                thread.pending_effect = effect
 
-    def _advance(self, thread):
-        """Advance a thread's generator to its next effect (or death)."""
-        try:
-            if thread.next_throw is not None:
-                exc, thread.next_throw = thread.next_throw, None
-                effect = thread.gen.throw(exc)
-            else:
-                value, thread.next_send = thread.next_send, None
-                effect = thread.gen.send(value)
-        except StopIteration as stop:
-            thread.state = ThreadState.DEAD
-            thread.done.trigger(getattr(stop, "value", None))
-            return None
-        return effect
-
-    def _step(self, thread):
-        """Execute one effect of one thread."""
-        if thread is not self._last_thread:
-            self.meter.charge("thread_switch")
-            self._last_thread = thread
-        effect = thread.pending_effect
-        if effect is None:
-            effect = self._advance(thread)
-            if effect is None:  # thread finished
-                burst = self._charge_meter()
-                if burst is not None:
-                    yield burst
-                return
-            thread.pending_effect = effect
-
-        if isinstance(effect, Compute):
-            thread.pending_effect = None
-            total = effect.ns + self.meter.take()
-            if total:
-                yield self.cpu.consume(total, label=effect.label)
-        elif isinstance(effect, Touch):
-            yield from self._step_touch(thread, effect)
-        elif isinstance(effect, Wait):
-            thread.pending_effect = None
-            event = effect.event
-            if event.triggered:
-                if event.ok:
-                    thread.next_send = event.value
+            if isinstance(effect, Compute):
+                thread.pending_effect = None
+                ns = effect.ns + meter.take()
+                if ns:
+                    yield self.cpu.consume(ns, label=effect.label)
+                continue
+            if isinstance(effect, Touch):
+                result = self.kernel.access(self.protdom, effect.va,
+                                            effect.kind)
+                if result.ok:
+                    thread.pending_effect = None
+                    thread.next_send = result
                 else:
-                    thread.next_throw = event._value
+                    # Trap: block the thread and dispatch the fault to
+                    # *this* domain (self-paging — nobody else will
+                    # handle it).
+                    thread.state = ThreadState.FAULTED
+                    thread.faults += 1
+                    self.kernel.dispatch_fault(self, thread, result)
+            elif isinstance(effect, Wait):
+                thread.pending_effect = None
+                event = effect.event
+                if event.triggered:
+                    if event.ok:
+                        thread.next_send = event.value
+                    else:
+                        thread.next_throw = event._value
+                else:
+                    thread.state = ThreadState.BLOCKED
+                    thread.wait_event = event
+                    event.add_callback(
+                        lambda ev, t=thread: self._event_wakeup(t, ev))
+            elif isinstance(effect, Yield):
+                thread.pending_effect = None
+                thread.next_send = None
+                continue
             else:
-                thread.state = ThreadState.BLOCKED
-                thread.wait_event = event
-                event.add_callback(
-                    lambda ev, t=thread: self._event_wakeup(t, ev))
-            burst = self._charge_meter()
-            if burst is not None:
-                yield burst
-        elif isinstance(effect, Yield):
-            thread.pending_effect = None
-            thread.next_send = None
-        else:
-            raise TypeError(
-                "thread %s yielded %r; threads must yield Compute/Touch/"
-                "Wait/Yield effects" % (thread.name, effect))
-
-    def _step_touch(self, thread, effect):
-        result = self.kernel.access(self.protdom, effect.va, effect.kind)
-        if result.ok:
-            thread.pending_effect = None
-            thread.next_send = result
-        else:
-            # Trap: block the thread and dispatch the fault to *this*
-            # domain (self-paging — nobody else will handle it).
-            thread.state = ThreadState.FAULTED
-            thread.faults += 1
-            self.kernel.dispatch_fault(self, thread, result)
-        burst = self._charge_meter()
-        if burst is not None:
-            yield burst
+                raise TypeError(
+                    "thread %s yielded %r; threads must yield Compute/"
+                    "Touch/Wait/Yield effects" % (thread.name, effect))
+            ns = meter.take()
+            if ns:
+                yield self.cpu.consume(ns)
 
     def _event_wakeup(self, thread, event):
         if thread.state is not ThreadState.BLOCKED:

@@ -35,7 +35,7 @@ class Rights:
     way.
     """
 
-    __slots__ = ("_bits",)
+    __slots__ = ("_bits", "_kinds")
 
     _ORDER = (Right.READ, Right.WRITE, Right.EXECUTE, Right.META)
 
@@ -45,7 +45,15 @@ class Rights:
             if not isinstance(right, Right):
                 raise TypeError("expected Right, got %r" % (right,))
             bits = bits | {right}
+        self._set_bits(bits)
+
+    def _set_bits(self, bits):
         self._bits = bits
+        # The access kinds these rights permit, as a tuple: the MMU's
+        # per-access check is then an identity scan of at most three
+        # members instead of two Enum hashes.
+        self._kinds = tuple(kind for kind, right in _ACCESS_TO_RIGHT.items()
+                            if right in bits)
 
     @classmethod
     def parse(cls, text):
@@ -71,7 +79,7 @@ class Rights:
         a :class:`Right` (for meta checks).
         """
         if isinstance(access, AccessKind):
-            return _ACCESS_TO_RIGHT[access] in self._bits
+            return access in self._kinds
         if isinstance(access, Right):
             return access in self._bits
         raise TypeError("expected AccessKind or Right, got %r" % (access,))
@@ -86,8 +94,8 @@ class Rights:
 
     @classmethod
     def _from_bits(cls, bits):
-        new = cls()
-        new._bits = bits
+        new = cls.__new__(cls)
+        new._set_bits(bits)
         return new
 
     def __or__(self, other):

@@ -25,6 +25,7 @@ Everything is simulation-agnostic: no clocks, no simulator imports.
 """
 
 import json
+from bisect import bisect_left
 
 
 def _label_key(labels):
@@ -160,11 +161,8 @@ class _HistogramCell:
     def observe(self, value):
         self.count += 1
         self.sum += value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
+        # The first bound >= value; past the last bound is the overflow.
+        self.counts[bisect_left(self.bounds, value)] += 1
 
 
 class _BoundHistogram:

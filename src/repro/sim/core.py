@@ -473,12 +473,15 @@ class Simulator:
                         "simulation ran out of work before %r triggered"
                         % event
                     )
-                entry = heappop(heap)
+                entry = heap[0]
                 if limit is not None and entry[0] > limit:
+                    # The entry stays queued: a later run() still
+                    # dispatches it.
                     raise SimulationError(
                         "simulated time limit %s exceeded waiting for %r"
                         % (fmt_time(limit), event)
                     )
+                heappop(heap)
                 self._now = entry[0]
                 dispatched += 1
                 fn = entry[2]

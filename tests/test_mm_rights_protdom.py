@@ -36,6 +36,21 @@ class TestRights:
         assert Rights.parse("m").meta
         assert not Rights.parse("rwx").meta
 
+    def test_access_kinds_follow_the_rights_held(self):
+        # Every subset, built by parsing and by set algebra, permits an
+        # access exactly when it holds the matching right.
+        matching = {AccessKind.READ: Right.READ,
+                    AccessKind.WRITE: Right.WRITE,
+                    AccessKind.EXECUTE: Right.EXECUTE}
+        for mask in range(16):
+            text = "".join(c for i, c in enumerate("rwxm") if mask >> i & 1)
+            for rights in (Rights.parse(text),
+                           Rights.parse("rwxm") & Rights.parse(text),
+                           Rights.parse("rwxm") - Rights.parse(text),
+                           Rights() | Rights.parse(text)):
+                for kind, right in matching.items():
+                    assert rights.permits(kind) == (right in rights)
+
     def test_permits_rejects_other_types(self):
         with pytest.raises(TypeError):
             Rights.parse("r").permits("read")

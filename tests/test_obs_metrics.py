@@ -129,6 +129,39 @@ class TestHistogram:
         histogram = MetricsRegistry().histogram("h")
         assert histogram.bounds == LATENCY_BUCKETS_NS
 
+    @staticmethod
+    def _linear(bounds, values):
+        """Reference bucketing: the first bound the value does not
+        exceed, else the overflow bucket."""
+        counts = [0] * (len(bounds) + 1)
+        for value in values:
+            for index, bound in enumerate(bounds):
+                if value <= bound:
+                    counts[index] += 1
+                    break
+            else:
+                counts[-1] += 1
+        return counts
+
+    @pytest.mark.parametrize("bounds", [
+        LATENCY_BUCKETS_NS, (10,), (0, 1, 1, 2), (-5, 0.5, 3, 1e9),
+        (1.5, 2, 2.5),
+    ])
+    def test_bisect_bucketing_matches_linear_scan(self, bounds):
+        values = [bounds[0] - 1, bounds[-1] + 1, 0, 0.0]
+        for bound in bounds:
+            # Each bound, as int and as float, plus both neighbours.
+            values += [bound, float(bound), bound - 0.25, bound + 0.25]
+            if bound == int(bound):
+                values += [int(bound), int(bound) - 1, int(bound) + 1]
+        histogram = MetricsRegistry().histogram("h", buckets=bounds)
+        for value in values:
+            histogram.observe(value)
+        cell = histogram.get()
+        assert cell["buckets"] == self._linear(bounds, values)
+        assert cell["count"] == len(values)
+        assert cell["sum"] == sum(values)
+
 
 class TestSnapshotDiff:
     def make_registry(self):

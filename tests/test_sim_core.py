@@ -330,3 +330,19 @@ class TestRunUntilTriggered:
         event = sim.event()
         with pytest.raises(SimulationError):
             sim.run_until_triggered(event, limit=10 * MS)
+
+    def test_limit_keeps_the_entry_past_it(self, sim):
+        # The entry due after the limit must not be lost when the limit
+        # trips: a later run() still fires it and counts it.
+        early = sim.timeout(1 * MS, value="early")
+        late = sim.timeout(20 * MS, value="late")
+        with pytest.raises(SimulationError):
+            sim.run_until_triggered(late, limit=10 * MS)
+        assert early.value == "early"
+        assert not late.triggered
+        assert sim.now == 1 * MS
+        assert sim.events_dispatched == 1
+        sim.run()
+        assert late.value == "late"
+        assert sim.now == 20 * MS
+        assert sim.events_dispatched == 2
