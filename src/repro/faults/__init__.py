@@ -1,4 +1,11 @@
-"""Deterministic fault injection for the paging/storage stack."""
+"""Deterministic fault injection for the paging/storage stack.
+
+Four planes — storage faults (``plan``), hostile domain behaviour
+(``behavior``), component crashes (``crash``) and silent corruption
+(``corrupt``) — built on one rule engine (``engine``): the rule
+window, the keyed draw, first-wins with a full audit, and injector
+accounting.
+"""
 
 from repro.faults.behavior import (
     ALLOC_THRASH,
@@ -12,8 +19,6 @@ from repro.faults.behavior import (
     BehaviorInjector,
     BehaviorPlan,
     BehaviorRule,
-    behavior_plan_from_config,
-    behavior_rule_from_config,
 )
 from repro.faults.corrupt import (
     BIT_FLIP,
@@ -24,9 +29,6 @@ from repro.faults.corrupt import (
     CorruptionInjector,
     CorruptPlan,
     CorruptRule,
-    corrupt_plan_from_config,
-    corrupt_rule_from_config,
-    extent_corruption,
 )
 from repro.faults.crash import (
     CRASH,
@@ -34,9 +36,8 @@ from repro.faults.crash import (
     CrashInjector,
     CrashPlan,
     CrashRule,
-    crash_plan_from_config,
-    crash_rule_from_config,
 )
+from repro.faults.engine import FireRecorder
 from repro.faults.plan import (
     BAD_BLOCK,
     CLEAN,
@@ -50,11 +51,6 @@ from repro.faults.plan import (
     FaultInjector,
     FaultPlan,
     FaultRule,
-    FireRecorder,
-    disk_storm,
-    extent_storm,
-    plan_from_config,
-    rule_from_config,
 )
 
 __all__ = [
@@ -67,9 +63,5 @@ __all__ = [
     "CorruptDecision", "CorruptionInjector", "CorruptPlan",
     "CorruptRule", "CrashDecision", "CrashInjector", "CrashPlan",
     "CrashRule", "FaultDecision", "FaultInjector", "FaultPlan",
-    "FaultRule", "FireRecorder", "behavior_plan_from_config",
-    "behavior_rule_from_config", "corrupt_plan_from_config",
-    "corrupt_rule_from_config", "crash_plan_from_config",
-    "crash_rule_from_config", "disk_storm", "extent_corruption",
-    "extent_storm", "plan_from_config", "rule_from_config",
+    "FaultRule", "FireRecorder",
 ]

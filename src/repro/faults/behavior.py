@@ -39,8 +39,7 @@ Injection points: the MMEntry revocation channel
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.faults.plan import FireRecorder, _draw
-from repro.obs.metrics import NULL_REGISTRY
+from repro.faults.engine import FirstWinsPlan, Injector, WindowedRule, _draw
 from repro.sim.units import MS
 
 # Behaviour kinds.
@@ -59,7 +58,7 @@ _SCOPE_ALLOC = "alloc"
 
 
 @dataclass(frozen=True)
-class BehaviorRule:
+class BehaviorRule(WindowedRule):
     """One domain-behaviour rule, scoped by domain and time window.
 
     ``domain`` of ``None`` matches every domain (useful for chaos
@@ -76,12 +75,10 @@ class BehaviorRule:
     fraction: float = 0.5              # revoke_partial delivery ratio
     thrash_factor: int = 8             # alloc_thrash request inflation
 
+    KINDS = BEHAVIOR_KINDS
+
     def __post_init__(self):
-        if self.kind not in BEHAVIOR_KINDS:
-            raise ValueError("kind must be one of %s, got %r"
-                             % (BEHAVIOR_KINDS, self.kind))
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("rate must be in [0, 1], got %r" % self.rate)
+        super().__post_init__()
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1], got %r"
                              % self.fraction)
@@ -94,9 +91,7 @@ class BehaviorRule:
         """Rule scope check: domain and time window."""
         if self.domain is not None and domain != self.domain:
             return False
-        if now < self.start_ns:
-            return False
-        return self.end_ns is None or now < self.end_ns
+        return self.in_window(now)
 
 
 @dataclass(frozen=True)
@@ -110,37 +105,32 @@ class BehaviorDecision:
 
 
 @dataclass(frozen=True)
-class BehaviorPlan:
+class BehaviorPlan(FirstWinsPlan):
     """A seed plus an ordered tuple of rules; first firing rule wins."""
 
     seed: int
     rules: Tuple[BehaviorRule, ...] = ()
 
+    def _fires(self, index, rule, scope, domain, now, seq):
+        if scope == _SCOPE_REVOKE and rule.kind not in REVOKE_KINDS:
+            return False
+        if scope == _SCOPE_ALLOC and rule.kind != ALLOC_THRASH:
+            return False
+        if not rule.applies(domain, now):
+            return False
+        if rule.rate < 1.0 and _draw(self.seed, rule.kind, index,
+                                     domain, now, seq) >= rule.rate:
+            return False
+        return True
+
     def _decide(self, scope, domain, now, seq, observed=None):
-        decision = None
-        for index, rule in enumerate(self.rules):
-            if scope == _SCOPE_REVOKE and rule.kind not in REVOKE_KINDS:
-                continue
-            if scope == _SCOPE_ALLOC and rule.kind != ALLOC_THRASH:
-                continue
-            if not rule.applies(domain, now):
-                continue
-            if rule.rate < 1.0 and _draw(self.seed, rule.kind, index,
-                                         domain, now, seq) >= rule.rate:
-                continue
-            # First firing rule wins; later firings are still recorded
-            # in ``observed`` (draws are pure, so the extra evaluation
-            # cannot perturb anything) for the injection audit.
-            if observed is not None:
-                observed.add(index)
-            if decision is None:
-                decision = BehaviorDecision(
-                    kind=rule.kind, delay_ns=rule.delay_ns,
-                    fraction=rule.fraction,
-                    thrash_factor=rule.thrash_factor)
-                if observed is None:
-                    return decision
-        return decision
+        index = self._first_firing(observed, scope, domain, now, seq)
+        if index is None:
+            return None
+        rule = self.rules[index]
+        return BehaviorDecision(kind=rule.kind, delay_ns=rule.delay_ns,
+                                fraction=rule.fraction,
+                                thrash_factor=rule.thrash_factor)
 
     def revocation_decision(self, domain, now, seq=0, observed=None):
         """How ``domain`` behaves towards this revocation notification."""
@@ -153,43 +143,16 @@ class BehaviorPlan:
                             observed=observed)
 
 
-#: BehaviorRule field names settable from declarative (mission) config.
-BEHAVIOR_CONFIG_KEYS = ("kind", "domain", "rate", "start_ns", "end_ns",
-                        "delay_ns", "fraction", "thrash_factor")
-
-
-def behavior_rule_from_config(config):
-    """Build a :class:`BehaviorRule` from a plain dict (the mission
-    plane's conversion point; unknown keys are a hard error)."""
-    unknown = sorted(set(config) - set(BEHAVIOR_CONFIG_KEYS))
-    if unknown:
-        raise ValueError("unknown behavior-rule config key(s): %s"
-                         % ", ".join(unknown))
-    return BehaviorRule(**config)
-
-
-def behavior_plan_from_config(seed, rule_configs):
-    """Build a :class:`BehaviorPlan` from a seed plus rule dicts,
-    preserving rule order (draws are keyed by rule index)."""
-    return BehaviorPlan(seed=seed, rules=tuple(
-        behavior_rule_from_config(config) for config in rule_configs))
-
-
-class BehaviorInjector:
+class BehaviorInjector(Injector):
     """The plan bound to a metrics registry, with per-domain
     consultation sequence numbers (so equal-rate draws at the same
     simulated time stay independent — and reproducible)."""
 
+    METRIC = ("behavior_faults_injected_total",
+              "domain-behaviour faults injected, by kind and domain")
+
     def __init__(self, plan, metrics=None):
-        self.plan = plan
-        metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._family = metrics.counter(
-            "behavior_faults_injected_total",
-            help="domain-behaviour faults injected, by kind and domain")
-        self.injected = 0
-        #: Fire evidence per plan rule (set-like, with counts) — the
-        #: mission plane's injection-audit evidence.
-        self.observed = FireRecorder()
+        super().__init__(plan, metrics)
         self._seq = {}
 
     def _next_seq(self, scope, domain):
@@ -197,16 +160,15 @@ class BehaviorInjector:
         self._seq[key] = self._seq.get(key, 0) + 1
         return self._seq[key]
 
-    def _account(self, decision, domain):
+    def _count(self, decision, domain):
         if decision is not None:
-            self.injected += 1
-            self._family.child(kind=decision.kind, domain=domain).inc()
+            self._account(kind=decision.kind, domain=domain)
         return decision
 
     def revocation_decision(self, domain, now):
         """Consulted by the MMEntry at the revocation channel."""
         seq = self._next_seq(_SCOPE_REVOKE, domain)
-        return self._account(
+        return self._count(
             self.plan.revocation_decision(domain, now, seq,
                                           observed=self.observed), domain)
 
@@ -215,7 +177,7 @@ class BehaviorInjector:
         ``count`` (never beyond ``room``, the contract's remaining
         quota)."""
         seq = self._next_seq(_SCOPE_ALLOC, domain)
-        decision = self._account(
+        decision = self._count(
             self.plan.alloc_decision(domain, now, seq,
                                      observed=self.observed), domain)
         if decision is None:

@@ -40,8 +40,7 @@ error machinery, which is the entire point.
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.faults.plan import FireRecorder, _draw
-from repro.obs.metrics import NULL_REGISTRY
+from repro.faults.engine import FirstWinsPlan, Injector, WindowedRule, _draw
 
 # Corruption kinds.
 BIT_FLIP = "bit_flip"
@@ -52,7 +51,7 @@ CORRUPT_KINDS = (BIT_FLIP, TORN_WRITE, MISDIRECTED_WRITE)
 
 
 @dataclass(frozen=True)
-class CorruptRule:
+class CorruptRule(WindowedRule):
     """One corruption rule, scoped by LBA range and time window.
 
     ``rate`` is the per-read (``bit_flip``) or per-written-version
@@ -72,22 +71,11 @@ class CorruptRule:
     end_ns: Optional[int] = None       # None: forever
     blocks: Tuple[int, ...] = ()       # explicit corrupt LBAs
 
-    def __post_init__(self):
-        if self.kind not in CORRUPT_KINDS:
-            raise ValueError("kind must be one of %s, got %r"
-                             % (CORRUPT_KINDS, self.kind))
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("rate must be in [0, 1], got %r" % self.rate)
-        if self.start_ns < 0:
-            raise ValueError("negative start_ns")
-        if self.end_ns is not None and self.end_ns <= self.start_ns:
-            raise ValueError("end_ns must exceed start_ns")
+    KINDS = CORRUPT_KINDS
 
     def applies(self, req, now):
         """Rule scope check: time window and LBA overlap."""
-        if now < self.start_ns:
-            return False
-        if self.end_ns is not None and now >= self.end_ns:
+        if not self.in_window(now):
             return False
         end = self.lba_end
         return req.end > self.lba_start and (end is None or req.lba < end)
@@ -103,20 +91,16 @@ class CorruptDecision:
 
 
 @dataclass(frozen=True)
-class CorruptPlan:
-    """A seed plus an ordered tuple of rules; first firing rule wins.
-
-    Like the crash plane, later firing rules are still recorded in
-    ``observed`` (draws are pure, so the extra evaluation cannot
-    perturb the winning decision) so the mission plane's injection
-    audit can prove every declared rule was exercised.
-    """
+class CorruptPlan(FirstWinsPlan):
+    """A seed plus an ordered tuple of rules; first firing rule wins."""
 
     seed: int
     rules: Tuple[CorruptRule, ...] = ()
 
-    def _hit(self, rule, index, req, now, generation):
-        """Whether one applicable rule corrupts this read."""
+    def _fires(self, index, rule, req, now, generation):
+        """Whether one rule corrupts this read."""
+        if not rule.applies(req, now):
+            return False
         if rule.blocks:
             return any(req.lba <= lba < req.end for lba in rule.blocks)
         if rule.rate <= 0.0:
@@ -131,58 +115,14 @@ class CorruptPlan:
         corruption silently riding along. ``generation`` is the blok's
         write-generation counter (the injector tracks it) so torn and
         misdirected writes stick to the written version."""
-        decision = None
-        for index, rule in enumerate(self.rules):
-            if not rule.applies(req, now):
-                continue
-            if not self._hit(rule, index, req, now, generation):
-                continue
-            if observed is not None:
-                observed.add(index)
-            if decision is None:
-                decision = CorruptDecision(rule_index=index, kind=rule.kind,
-                                           lba=req.lba)
-                if observed is None:
-                    break
-        return decision
+        index = self._first_firing(observed, req, now, generation)
+        if index is None:
+            return None
+        return CorruptDecision(rule_index=index, kind=self.rules[index].kind,
+                               lba=req.lba)
 
 
-#: CorruptRule field names settable from declarative (mission) config.
-CORRUPT_CONFIG_KEYS = ("kind", "rate", "lba_start", "lba_end",
-                       "start_ns", "end_ns", "blocks")
-
-
-def corrupt_rule_from_config(config):
-    """Build a :class:`CorruptRule` from a plain dict (the mission
-    plane's conversion point; unknown keys are a hard error)."""
-    unknown = sorted(set(config) - set(CORRUPT_CONFIG_KEYS))
-    if unknown:
-        raise ValueError("unknown corruption-rule config key(s): %s"
-                         % ", ".join(unknown))
-    config = dict(config)
-    if "blocks" in config:
-        config["blocks"] = tuple(config["blocks"])
-    return CorruptRule(**config)
-
-
-def corrupt_plan_from_config(seed, rule_configs):
-    """Build a :class:`CorruptPlan` from a seed plus rule dicts,
-    preserving rule order (draws are keyed by rule index)."""
-    return CorruptPlan(seed=seed, rules=tuple(
-        corrupt_rule_from_config(config) for config in rule_configs))
-
-
-def extent_corruption(seed, extent, kind=BIT_FLIP, rate=0.1,
-                      start_ns=0, end_ns=None):
-    """A :class:`CorruptPlan` scoped to one extent — the storm shape
-    the integrity experiment lands on one pager's swap extent, leaving
-    every other LBA on the disk untouched."""
-    return CorruptPlan(seed=seed, rules=(
-        CorruptRule(kind=kind, rate=rate, lba_start=extent.start,
-                    lba_end=extent.end, start_ns=start_ns, end_ns=end_ns),))
-
-
-class CorruptionInjector:
+class CorruptionInjector(Injector):
     """The plan bound to a metrics registry, with per-blok write
     generations: the disk's consultation point on the read path.
 
@@ -192,17 +132,12 @@ class CorruptionInjector:
     version either takes cleanly or is corrupt anew).
     """
 
+    METRIC = ("corruptions_injected_total",
+              "silent corruptions injected on the read path, by kind and "
+              "victim stream")
+
     def __init__(self, plan, metrics=None):
-        self.plan = plan
-        metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._family = metrics.counter(
-            "corruptions_injected_total",
-            help="silent corruptions injected on the read path, by kind "
-                 "and victim stream")
-        self.injected = 0
-        #: Fire evidence per plan rule (set-like, with counts) — the
-        #: mission plane's injection-audit evidence.
-        self.observed = FireRecorder()
+        super().__init__(plan, metrics)
         self._generation = {}
 
     def generation(self, lba):
@@ -219,7 +154,5 @@ class CorruptionInjector:
             req, now, generation=self._generation.get(req.lba, 0),
             observed=self.observed)
         if decision is not None:
-            self.injected += 1
-            self._family.child(kind=decision.kind,
-                               client=req.client or "?").inc()
+            self._account(kind=decision.kind, client=req.client or "?")
         return decision

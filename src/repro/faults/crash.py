@@ -28,14 +28,13 @@ driver domain), and ``volume:<index>`` (one USBS volume's driver).
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.faults.plan import FireRecorder, _draw
-from repro.obs.metrics import NULL_REGISTRY
+from repro.faults.engine import FirstWinsPlan, Injector, WindowedRule, _draw
 
 CRASH = "crash"
 
 
 @dataclass(frozen=True)
-class CrashRule:
+class CrashRule(WindowedRule):
     """One crash rule, scoped by component and time window.
 
     ``component`` of ``None`` matches every supervised component
@@ -53,12 +52,7 @@ class CrashRule:
     max_crashes: int = 1
 
     def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("rate must be in [0, 1], got %r" % self.rate)
-        if self.start_ns < 0:
-            raise ValueError("negative start_ns")
-        if self.end_ns is not None and self.end_ns <= self.start_ns:
-            raise ValueError("end_ns must exceed start_ns")
+        super().__post_init__()
         if self.max_crashes < 0:
             raise ValueError("negative max_crashes")
 
@@ -66,9 +60,7 @@ class CrashRule:
         """Rule scope check: component and time window."""
         if self.component is not None and component != self.component:
             return False
-        if now < self.start_ns:
-            return False
-        return self.end_ns is None or now < self.end_ns
+        return self.in_window(now)
 
 
 @dataclass(frozen=True)
@@ -80,7 +72,7 @@ class CrashDecision:
 
 
 @dataclass(frozen=True)
-class CrashPlan:
+class CrashPlan(FirstWinsPlan):
     """A seed plus an ordered tuple of rules; first firing rule wins.
 
     ``fired`` maps rule index to kills already delivered by that rule —
@@ -91,70 +83,36 @@ class CrashPlan:
     seed: int
     rules: Tuple[CrashRule, ...] = ()
 
+    def _fires(self, index, rule, component, now, seq, fired):
+        if not rule.applies(component, now):
+            return False
+        if fired is not None and rule.max_crashes:
+            if fired.get(index, 0) >= rule.max_crashes:
+                return False
+        if rule.rate < 1.0 and _draw(self.seed, CRASH, index,
+                                     component, now, seq) >= rule.rate:
+            return False
+        return True
+
     def decide(self, component, now, seq=0, observed=None, fired=None):
         """Whether ``component`` dies at this heartbeat (None: lives)."""
-        decision = None
-        for index, rule in enumerate(self.rules):
-            if not rule.applies(component, now):
-                continue
-            if fired is not None and rule.max_crashes:
-                if fired.get(index, 0) >= rule.max_crashes:
-                    continue
-            if rule.rate < 1.0 and _draw(self.seed, CRASH, index,
-                                         component, now, seq) >= rule.rate:
-                continue
-            # First firing rule wins; later firings are still recorded
-            # in ``observed`` (draws are pure, so the extra evaluation
-            # cannot perturb anything) for the injection audit.
-            if observed is not None:
-                observed.add(index)
-            if decision is None:
-                decision = CrashDecision(rule_index=index,
-                                         component=component)
-                if observed is None:
-                    break
-        if decision is not None and fired is not None:
-            fired[decision.rule_index] = fired.get(decision.rule_index,
-                                                   0) + 1
-        return decision
+        index = self._first_firing(observed, component, now, seq, fired)
+        if index is None:
+            return None
+        if fired is not None:
+            fired[index] = fired.get(index, 0) + 1
+        return CrashDecision(rule_index=index, component=component)
 
 
-#: CrashRule field names settable from declarative (mission) config.
-CRASH_CONFIG_KEYS = ("component", "rate", "start_ns", "end_ns",
-                     "max_crashes")
-
-
-def crash_rule_from_config(config):
-    """Build a :class:`CrashRule` from a plain dict (the mission
-    plane's conversion point; unknown keys are a hard error)."""
-    unknown = sorted(set(config) - set(CRASH_CONFIG_KEYS))
-    if unknown:
-        raise ValueError("unknown crash-rule config key(s): %s"
-                         % ", ".join(unknown))
-    return CrashRule(**config)
-
-
-def crash_plan_from_config(seed, rule_configs):
-    """Build a :class:`CrashPlan` from a seed plus rule dicts,
-    preserving rule order (draws are keyed by rule index)."""
-    return CrashPlan(seed=seed, rules=tuple(
-        crash_rule_from_config(config) for config in rule_configs))
-
-
-class CrashInjector:
+class CrashInjector(Injector):
     """The plan bound to a metrics registry, with per-component
     heartbeat sequence numbers and per-rule kill caps."""
 
+    METRIC = ("crash_faults_injected_total",
+              "component crashes injected, by component")
+
     def __init__(self, plan, metrics=None):
-        self.plan = plan
-        metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._family = metrics.counter(
-            "crash_faults_injected_total",
-            help="component crashes injected, by component")
-        self.injected = 0
-        #: Fire evidence per plan rule (set-like, with counts) — the
-        #: mission plane's injection-audit evidence.
-        self.observed = FireRecorder()
+        super().__init__(plan, metrics)
         #: rule index -> kills delivered (enforces ``max_crashes``).
         self.fired = {}
         self._seq = {}
@@ -167,6 +125,5 @@ class CrashInjector:
                                     observed=self.observed,
                                     fired=self.fired)
         if decision is not None:
-            self.injected += 1
-            self._family.child(component=component).inc()
+            self._account(component=component)
         return decision

@@ -28,11 +28,10 @@ Fault kinds:
   timeout; the MMEntry watchdog exists for the faults this hangs.
 """
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.obs.metrics import NULL_REGISTRY
+from repro.faults.engine import Injector, WindowedRule, _draw
 from repro.sim.units import MS
 
 # Fault kinds.
@@ -49,55 +48,8 @@ STATUS_TIMEOUT = "timeout"
 _KINDS = (TRANSIENT, BAD_BLOCK, LATENCY, STUCK)
 
 
-def _draw(seed, *key):
-    """A deterministic uniform draw in [0, 1) keyed by ``(seed, *key)``.
-
-    Hash-based (BLAKE2b), so it is stable across processes and Python
-    versions — unlike ``hash()`` — and independent of call order.
-    """
-    data = ("%d|" % seed + "|".join(str(part) for part in key)).encode()
-    digest = hashlib.blake2b(data, digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2.0 ** 64
-
-
-class FireRecorder:
-    """Set-like audit evidence with per-rule fire *counts*.
-
-    The plans record which rule indices fired through
-    ``observed.add(index)``; this recorder keeps both the set of
-    indices that ever fired and how many times each did, so mission
-    reports can show per-rule counts rather than a boolean. It
-    iterates and compares like the plain ``set`` the plans were
-    written against, so plans and tests need not care which they get.
-    """
-
-    def __init__(self):
-        self.counts = {}
-
-    def add(self, index):
-        """Record one firing of rule ``index``."""
-        self.counts[index] = self.counts.get(index, 0) + 1
-
-    def __contains__(self, index):
-        return index in self.counts
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __len__(self):
-        return len(self.counts)
-
-    def __eq__(self, other):
-        if isinstance(other, FireRecorder):
-            return self.counts == other.counts
-        return set(self.counts) == other
-
-    def __repr__(self):
-        return "<FireRecorder %r>" % (self.counts,)
-
-
 @dataclass(frozen=True)
-class FaultRule:
+class FaultRule(WindowedRule):
     """One injection rule, scoped by LBA range, operation and time.
 
     ``rate`` is the per-draw probability. For ``transient``/``stuck``/
@@ -118,20 +70,13 @@ class FaultRule:
     stuck_ns: int = 100 * MS           # stuck-disk wedge duration
     blocks: Tuple[int, ...] = ()       # explicit bad LBAs (bad_block)
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError("kind must be one of %s, got %r"
-                             % (_KINDS, self.kind))
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("rate must be in [0, 1], got %r" % self.rate)
+    KINDS = _KINDS
 
     def applies(self, req, now):
         """Rule scope check: operation, time window, LBA overlap."""
         if self.op is not None and req.kind != self.op:
             return False
-        if now < self.start_ns:
-            return False
-        if self.end_ns is not None and now >= self.end_ns:
+        if not self.in_window(now):
             return False
         end = self.lba_end
         return req.end > self.lba_start and (end is None or req.lba < end)
@@ -153,6 +98,7 @@ class FaultDecision:
 
     @property
     def clean(self):
+        """Whether the transaction goes through untouched."""
         return self.status == STATUS_OK and self.extra_ns == 0
 
 
@@ -238,85 +184,16 @@ class FaultPlan:
         return CLEAN
 
 
-def extent_storm(seed, extent, transient_rate=0.15, bad_blocks=0,
-                 start_ns=0, end_ns=None):
-    """A :class:`FaultPlan` scoped to one extent.
-
-    A transient-error rate over the extent's LBA range plus the first
-    ``bad_blocks`` LBAs marked persistently bad — the storm shape the
-    chaos scenario lands on one pager's swap extent. Attach it to the
-    disk that owns the extent; on a multi-volume store each volume has
-    its own disk, so the plan is volume-scoped by construction.
-    """
-    rules = [FaultRule(kind=TRANSIENT, rate=transient_rate,
-                       lba_start=extent.start, lba_end=extent.end,
-                       start_ns=start_ns, end_ns=end_ns)]
-    if bad_blocks:
-        rules.append(FaultRule(kind=BAD_BLOCK, blocks=tuple(
-            extent.start + index for index in range(bad_blocks)),
-            start_ns=start_ns, end_ns=end_ns))
-    return FaultPlan(seed=seed, rules=tuple(rules))
-
-
-def disk_storm(seed, transient_rate, start_ns=0, end_ns=None):
-    """A whole-disk transient storm: the 'this spindle is failing'
-    plan the multi-volume health monitor reacts to. Every LBA on the
-    disk it is attached to fails at ``transient_rate`` per attempt
-    within the time window."""
-    return FaultPlan(seed=seed, rules=(
-        FaultRule(kind=TRANSIENT, rate=transient_rate,
-                  start_ns=start_ns, end_ns=end_ns),))
-
-
-#: FaultRule field names settable from declarative (mission) config.
-RULE_CONFIG_KEYS = ("kind", "rate", "lba_start", "lba_end", "op",
-                    "start_ns", "end_ns", "extra_ns", "stuck_ns", "blocks")
-
-
-def rule_from_config(config):
-    """Build a :class:`FaultRule` from a plain dict.
-
-    The mission plane stores fault rules as data; this is the single
-    conversion point, so a config key the dataclass does not know is a
-    hard error rather than a silently-ignored knob.
-    """
-    unknown = sorted(set(config) - set(RULE_CONFIG_KEYS))
-    if unknown:
-        raise ValueError("unknown fault-rule config key(s): %s"
-                         % ", ".join(unknown))
-    config = dict(config)
-    if "blocks" in config:
-        config["blocks"] = tuple(config["blocks"])
-    return FaultRule(**config)
-
-
-def plan_from_config(seed, rule_configs):
-    """Build a :class:`FaultPlan` from a seed plus a list of rule
-    dicts (see :func:`rule_from_config`). Rule order is preserved —
-    draws are keyed by rule index, so order is part of the seed."""
-    return FaultPlan(seed=seed, rules=tuple(
-        rule_from_config(config) for config in rule_configs))
-
-
-class FaultInjector:
+class FaultInjector(Injector):
     """The plan bound to a metrics registry: the disk's consultation
     point, and the accounting of everything injected."""
 
-    def __init__(self, plan, metrics=None):
-        self.plan = plan
-        metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._family = metrics.counter(
-            "faults_injected_total",
-            help="storage faults injected, by kind and victim stream")
-        self.injected = 0
-        #: Fire evidence per plan rule (set-like, with counts) — the
-        #: mission plane's injection-audit evidence.
-        self.observed = FireRecorder()
+    METRIC = ("faults_injected_total",
+              "storage faults injected, by kind and victim stream")
 
     def decide(self, req, now):
+        """Consulted by the disk once per transaction."""
         decision = self.plan.decide(req, now, observed=self.observed)
         if not decision.clean:
-            self.injected += 1
-            self._family.child(kind=decision.kind,
-                               client=req.client or "?").inc()
+            self._account(kind=decision.kind, client=req.client or "?")
         return decision

@@ -37,9 +37,9 @@ from hashlib import blake2b
 from repro.apps.compute_app import ComputeApplication
 from repro.apps.fsclient import FileSystemClient
 from repro.apps.pager_app import PagingApplication
-from repro.faults import (CrashInjector, behavior_plan_from_config,
-                          corrupt_plan_from_config, crash_plan_from_config,
-                          plan_from_config)
+from repro.faults import (BehaviorPlan, BehaviorRule, CorruptPlan,
+                          CorruptRule, CrashInjector, CrashPlan, CrashRule,
+                          FaultPlan, FaultRule)
 from repro.hw.mmu import AccessKind
 from repro.hw.platform import Machine
 from repro.kernel.threads import Touch, Wait
@@ -168,104 +168,91 @@ def report_json(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _fault_rule_config(rule, extent=None, now=0):
-    """Mission fault rule -> :func:`repro.faults.rule_from_config` dict.
+def _window(rule, now=0):
+    """A mission rule's ``(start_ns, end_ns)``: ``start_sec``/``end_sec``
+    (-1: forever), or for ``during='measure'`` a window opening at
+    ``now`` and lasting ``duration_sec`` (-1: to the end of the run)."""
+    if rule.get("during") == "measure":
+        duration = rule["duration_sec"]
+        return now, (None if duration == -1.0
+                     else now + int(duration * SEC))
+    end = rule["end_sec"]
+    return (int(rule["start_sec"] * SEC),
+            None if end == -1.0 else int(end * SEC))
+
+
+def _disk_rule_fields(rule, extent, now):
+    """The rule fields both disk planes share: kind, rate, the LBA
+    scope and the window.
 
     ``extent`` scopes the rule to one swap extent's LBA range (or, for
     explicit ``blocks``, its first LBAs); ``now`` anchors
     ``during='measure'`` windows.
     """
-    config = {"kind": rule["kind"], "rate": rule["rate"]}
-    if rule["op"]:
-        config["op"] = rule["op"]
-    if extent is not None:
-        if rule["blocks"]:
-            config["blocks"] = tuple(extent.start + index
-                                     for index in range(rule["blocks"]))
-        else:
-            config["lba_start"] = extent.start
-            config["lba_end"] = extent.end
+    if extent is None:
+        lba = {"lba_start": rule["lba_start"],
+               "lba_end": None if rule["lba_end"] == -1 else rule["lba_end"]}
+    elif rule["blocks"]:
+        lba = {"blocks": tuple(extent.start + index
+                               for index in range(rule["blocks"]))}
     else:
-        if rule["lba_start"]:
-            config["lba_start"] = rule["lba_start"]
-        if rule["lba_end"] != -1:
-            config["lba_end"] = rule["lba_end"]
-    if rule["during"] == "measure":
-        config["start_ns"] = now
-        if rule["duration_sec"] != -1.0:
-            config["end_ns"] = now + int(rule["duration_sec"] * SEC)
-    else:
-        if rule["start_sec"]:
-            config["start_ns"] = int(rule["start_sec"] * SEC)
-        if rule["end_sec"] != -1.0:
-            config["end_ns"] = int(rule["end_sec"] * SEC)
-    if rule["kind"] == "latency":
-        config["extra_ns"] = rule["extra_ms"] * MS
-    if rule["kind"] == "stuck":
-        config["stuck_ns"] = rule["stuck_ms"] * MS
-    return config
+        lba = {"lba_start": extent.start, "lba_end": extent.end}
+    start_ns, end_ns = _window(rule, now)
+    return dict(lba, kind=rule["kind"], rate=rule["rate"],
+                start_ns=start_ns, end_ns=end_ns)
 
 
-def _corruption_rule_config(rule, extent=None, now=0):
-    """Mission corruption rule -> corrupt_rule_from_config dict.
-
-    Same scoping/anchoring conventions as :func:`_fault_rule_config`;
-    corruption rules have no op/latency knobs (they only ever affect
-    what a read *returns*, never whether or when it completes).
-    """
-    config = {"kind": rule["kind"], "rate": rule["rate"]}
-    if extent is not None:
-        if rule["blocks"]:
-            config["blocks"] = tuple(extent.start + index
-                                     for index in range(rule["blocks"]))
-        else:
-            config["lba_start"] = extent.start
-            config["lba_end"] = extent.end
-    else:
-        if rule["lba_start"]:
-            config["lba_start"] = rule["lba_start"]
-        if rule["lba_end"] != -1:
-            config["lba_end"] = rule["lba_end"]
-    if rule["during"] == "measure":
-        config["start_ns"] = now
-        if rule["duration_sec"] != -1.0:
-            config["end_ns"] = now + int(rule["duration_sec"] * SEC)
-    else:
-        if rule["start_sec"]:
-            config["start_ns"] = int(rule["start_sec"] * SEC)
-        if rule["end_sec"] != -1.0:
-            config["end_ns"] = int(rule["end_sec"] * SEC)
-    return config
+def _fault_rule(rule, extent, now):
+    """Mission fault rule -> :class:`~repro.faults.FaultRule`."""
+    return FaultRule(op=rule["op"] or None, extra_ns=rule["extra_ms"] * MS,
+                     stuck_ns=rule["stuck_ms"] * MS,
+                     **_disk_rule_fields(rule, extent, now))
 
 
-def _behavior_rule_config(rule):
-    """Mission behaviour rule -> behavior_rule_from_config dict."""
-    config = {"kind": rule["kind"], "rate": rule["rate"]}
-    if rule["domain"]:
-        config["domain"] = rule["domain"]
-    if rule["start_sec"]:
-        config["start_ns"] = int(rule["start_sec"] * SEC)
-    if rule["end_sec"] != -1.0:
-        config["end_ns"] = int(rule["end_sec"] * SEC)
-    if rule["kind"] == "revoke_slow":
-        config["delay_ns"] = rule["delay_ms"] * MS
-    if rule["kind"] == "revoke_partial":
-        config["fraction"] = rule["fraction"]
-    if rule["kind"] == "alloc_thrash":
-        config["thrash_factor"] = rule["thrash_factor"]
-    return config
+def _corrupt_rule(rule, extent, now):
+    """Mission corruption rule -> :class:`~repro.faults.CorruptRule`
+    (no op/latency knobs: corruption only ever changes what a read
+    *returns*, never whether or when it completes)."""
+    return CorruptRule(**_disk_rule_fields(rule, extent, now))
 
 
-def _crash_rule_config(rule):
-    """Mission crash rule -> crash_rule_from_config dict."""
-    config = {"rate": rule["rate"], "max_crashes": rule["max_crashes"]}
-    if rule["component"]:
-        config["component"] = rule["component"]
-    if rule["start_sec"]:
-        config["start_ns"] = int(rule["start_sec"] * SEC)
-    if rule["end_sec"] != -1.0:
-        config["end_ns"] = int(rule["end_sec"] * SEC)
-    return config
+def _behavior_rule(rule):
+    """Mission behaviour rule -> :class:`~repro.faults.BehaviorRule`."""
+    start_ns, end_ns = _window(rule)
+    return BehaviorRule(kind=rule["kind"], domain=rule["domain"] or None,
+                        rate=rule["rate"], start_ns=start_ns, end_ns=end_ns,
+                        delay_ns=rule["delay_ms"] * MS,
+                        fraction=rule["fraction"],
+                        thrash_factor=rule["thrash_factor"])
+
+
+def _crash_rule(rule):
+    """Mission crash rule -> :class:`~repro.faults.CrashRule`."""
+    start_ns, end_ns = _window(rule)
+    return CrashRule(component=rule["component"] or None, rate=rule["rate"],
+                     start_ns=start_ns, end_ns=end_ns,
+                     max_crashes=rule["max_crashes"])
+
+
+#: The two disk-rule planes: mission key -> (noun, rule builder, plan
+#: class, install method on the system and on the volume manager,
+#: whether a ``volume_of:`` scope narrows to the victim's own shard).
+_DISK_PLANES = {
+    "faults": ("fault", _fault_rule, FaultPlan, "install_fault_plan",
+               False),
+    "corruptions": ("corruption", _corrupt_rule, CorruptPlan,
+                    "install_corruption_plan", True),
+}
+
+#: The four planes as the injection audit reads them, in report order:
+#: mission key -> the rule field naming its target. Behaviour rules are
+#: mission-wide; the other planes' rules are declared per run.
+_AUDIT_PLANES = {
+    "faults": "scope",
+    "corruptions": "scope",
+    "behaviors": "domain",
+    "crashes": "component",
+}
 
 
 def _merge_windows(windows):
@@ -375,9 +362,9 @@ class MissionRunner:
             kwargs["integrity_threshold"] = integrity["detect_threshold"]
         behaviors = self.mission["behaviors"]
         if behaviors:
-            kwargs["behavior_plan"] = behavior_plan_from_config(
-                self.mission["mission"]["seed"],
-                [_behavior_rule_config(rule) for rule in behaviors])
+            kwargs["behavior_plan"] = BehaviorPlan(
+                seed=self.mission["mission"]["seed"],
+                rules=tuple(_behavior_rule(rule) for rule in behaviors))
         return NemesisSystem(**kwargs)
 
     def _build_domains(self, system, grabbed, run_name):
@@ -518,51 +505,23 @@ class MissionRunner:
         volume = driver.swap.slots[0].volume
         return ("vol", volume.index), None
 
-    def _install_plans(self, system, handles, rules, installed,
-                       fault_volumes):
-        """Group ``rules`` (already phase-filtered) by resolved target,
-        build one plan per target and install it. ``installed`` maps
-        target key -> (injector, [mission rule indices]) for the audit.
+    def _install(self, plane, system, handles, rules, installed,
+                 fault_volumes):
+        """Group one disk plane's ``rules`` (already phase-filtered) by
+        resolved target, build one plan per target and install it —
+        the loud fault plan as the disk's ``injector``, the corruption
+        plan as its independent ``corruptor``. ``installed`` maps
+        target key -> (injector, [mission rule indices]) for the audit;
+        volume scopes register in ``fault_volumes`` so the drain-family
+        invariants can name the storm volume.
         """
+        noun, build, plan_class, install, shard_scoped = _DISK_PLANES[plane]
         seed = self.mission["mission"]["seed"]
         now = system.sim.now
-        grouped = {}    # target key -> ([configs], [mission indices])
+        grouped = {}    # target key -> ([rules], [mission indices])
         for index, rule in rules:
             target, extent = self._resolve_target(rule, system, handles)
-            configs, indices = grouped.setdefault(target, ([], []))
-            configs.append(_fault_rule_config(rule, extent=extent, now=now))
-            indices.append(index)
-            if target != "disk":
-                volume = system.usbs.volumes[target[1]]
-                fault_volumes[rule["scope"]] = volume.name
-        for target in grouped:
-            if target in installed:
-                raise MissionRunError(
-                    "fault rules for %r span both phases; one plan per "
-                    "disk (split the scopes or align 'during')"
-                    % (target,))
-        for target, (configs, indices) in grouped.items():
-            plan = plan_from_config(seed, configs)
-            if target == "disk":
-                injector = system.install_fault_plan(plan)
-            else:
-                injector = system.usbs.install_fault_plan(target[1], plan)
-            installed[target] = (injector, indices)
-
-    def _install_corruptions(self, system, handles, rules, installed,
-                             fault_volumes):
-        """Like :meth:`_install_plans`, for the silent-corruption
-        plane: one :class:`~repro.faults.CorruptPlan` per resolved
-        disk, installed as that disk's ``corruptor`` (independent of
-        its loud fault plan). Volume scopes also register in
-        ``fault_volumes`` so the drain-family invariants can name the
-        storm volume."""
-        seed = self.mission["mission"]["seed"]
-        now = system.sim.now
-        grouped = {}    # target key -> ([configs], [mission indices])
-        for index, rule in rules:
-            target, extent = self._resolve_target(rule, system, handles)
-            if target != "disk" and extent is None:
+            if target != "disk" and shard_scoped:
                 # A volume-scoped corruption rule lands on the
                 # victim's own shard extent, not the whole volume: a
                 # volume is shared, and whole-volume draws would
@@ -576,9 +535,8 @@ class MissionRunner:
                     if slot.volume.index == target[1]:
                         extent = swap.extents[slot_index]
                         break
-            configs, indices = grouped.setdefault(target, ([], []))
-            configs.append(_corruption_rule_config(rule, extent=extent,
-                                                   now=now))
+            built, indices = grouped.setdefault(target, ([], []))
+            built.append(build(rule, extent, now))
             indices.append(index)
             if target != "disk":
                 volume = system.usbs.volumes[target[1]]
@@ -586,16 +544,15 @@ class MissionRunner:
         for target in grouped:
             if target in installed:
                 raise MissionRunError(
-                    "corruption rules for %r span both phases; one plan "
-                    "per disk (split the scopes or align 'during')"
-                    % (target,))
-        for target, (configs, indices) in grouped.items():
-            plan = corrupt_plan_from_config(seed, configs)
+                    "%s rules for %r span both phases; one plan per "
+                    "disk (split the scopes or align 'during')"
+                    % (noun, target))
+        for target, (built, indices) in grouped.items():
+            plan = plan_class(seed=seed, rules=tuple(built))
             if target == "disk":
-                injector = system.install_corruption_plan(plan)
+                injector = getattr(system, install)(plan)
             else:
-                injector = system.usbs.install_corruption_plan(target[1],
-                                                               plan)
+                injector = getattr(system.usbs, install)(target[1], plan)
             installed[target] = (injector, indices)
 
     # -- supervision ----------------------------------------------------------
@@ -643,9 +600,9 @@ class MissionRunner:
         mission = self.mission
         supervision = mission["supervision"]
         injector = CrashInjector(
-            crash_plan_from_config(
-                mission["mission"]["seed"],
-                [_crash_rule_config(rule) for rule in run["crashes"]]),
+            CrashPlan(seed=mission["mission"]["seed"],
+                      rules=tuple(_crash_rule(rule)
+                                  for rule in run["crashes"])),
             metrics=system.metrics)
         policy = RestartPolicy(
             backoff_ns=supervision["backoff_ms"] * MS,
@@ -683,8 +640,8 @@ class MissionRunner:
 
     def _execute_run(self, run):
         """Build + run one ``[[runs]]`` entry; returns (payload, fired)
-        where ``fired`` is {"faults": set, "behaviors": set[, "crashes":
-        set]} of mission rule indices observed firing."""
+        where ``fired`` maps each reported plane to the set of mission
+        rule indices observed firing, plus ``counts`` for all four."""
         mission = self.mission
         phases = mission["phases"]
         self._run_name = run["name"]
@@ -703,18 +660,15 @@ class MissionRunner:
         if mission["supervision"]["enabled"]:
             supervisor, crash_injector, components, samples = \
                 self._start_supervision(system, run, handles, balancer)
-        installed = {}      # target key -> (injector, mission indices)
-        corrupt_installed = {}   # ditto, for the corruption plane
+        # plane -> {target key -> (injector, mission indices)}
+        installed = {plane: {} for plane in _DISK_PLANES}
         fault_volumes = {}  # scope string -> volume name
-        start_rules, measure_rules = self._split_rules(run["faults"])
-        if start_rules:
-            self._install_plans(system, handles, start_rules, installed,
-                                fault_volumes)
-        corrupt_start, corrupt_measure = self._split_rules(
-            run["corruptions"])
-        if corrupt_start:
-            self._install_corruptions(system, handles, corrupt_start,
-                                      corrupt_installed, fault_volumes)
+        phased = {plane: self._split_rules(run[plane])
+                  for plane in _DISK_PLANES}
+        for plane, (start_rules, _) in phased.items():
+            if start_rules:
+                self._install(plane, system, handles, start_rules,
+                              installed[plane], fault_volumes)
         # Scenario drivers (declared order; deterministic spawn order).
         results = {"claims": [], "transfers": []}
         min_alloc = {}
@@ -755,12 +709,10 @@ class MissionRunner:
                 self._advance(system, 1 * SEC)
                 populate_sec += 1.0
         self._advance(system, int(phases["settle_sec"] * SEC))
-        if measure_rules:
-            self._install_plans(system, handles, measure_rules, installed,
-                                fault_volumes)
-        if corrupt_measure:
-            self._install_corruptions(system, handles, corrupt_measure,
-                                      corrupt_installed, fault_volumes)
+        for plane, (_, measure_rules) in phased.items():
+            if measure_rules:
+                self._install(plane, system, handles, measure_rules,
+                              installed[plane], fault_volumes)
         measured = self._measured(handles, components)
         start_bytes = {name: progress() for name, progress in measured}
         charged0 = {}
@@ -829,39 +781,29 @@ class MissionRunner:
             payload["progress_samples"] = samples
         if mission["integrity"]["enabled"] or run["corruptions"]:
             payload["integrity"] = self._integrity_payload(system)
+        # Fired mission rule indices per plane, plus per-rule counts.
+        # Faults and behaviours are always reported; corruptions when
+        # the run declares some, crashes when it is supervised.
         fired = {"faults": set(), "behaviors": set(),
-                 "counts": {"faults": {}, "behaviors": {},
-                            "corruptions": {}, "crashes": {}}}
-        counts = fired["counts"]
-        for injector, indices in installed.values():
-            if injector is None:
-                continue
-            fired["faults"].update(indices[i] for i in injector.observed)
-            for i, count in injector.observed.counts.items():
-                key = str(indices[i])
-                counts["faults"][key] = (counts["faults"].get(key, 0)
-                                         + count)
+                 "counts": {plane: {} for plane in _AUDIT_PLANES}}
         if run["corruptions"]:
             fired["corruptions"] = set()
-            for injector, indices in corrupt_installed.values():
-                if injector is None:
-                    continue
-                fired["corruptions"].update(indices[i]
-                                            for i in injector.observed)
-                for i, count in injector.observed.counts.items():
-                    key = str(indices[i])
-                    counts["corruptions"][key] = (
-                        counts["corruptions"].get(key, 0) + count)
+        # (plane, injector, plan rule index -> mission rule index; None
+        # when the plan holds the plane's rules in mission order)
+        sources = [(plane, injector, indices)
+                   for plane in _DISK_PLANES
+                   for injector, indices in installed[plane].values()]
         if system.behavior_injector is not None:
-            observed = system.behavior_injector.observed
-            fired["behaviors"].update(observed)
-            counts["behaviors"] = {str(i): count
-                                   for i, count in observed.counts.items()}
+            sources.append(("behaviors", system.behavior_injector, None))
         if crash_injector is not None:
-            fired["crashes"] = set(crash_injector.observed)
-            counts["crashes"] = {
-                str(i): count
-                for i, count in crash_injector.observed.counts.items()}
+            fired["crashes"] = set()
+            sources.append(("crashes", crash_injector, None))
+        for plane, injector, indices in sources:
+            counts = fired["counts"][plane]
+            for i, count in injector.observed.counts.items():
+                index = i if indices is None else indices[i]
+                fired[plane].add(index)
+                counts[str(index)] = counts.get(str(index), 0) + count
         return payload, fired
 
     def _integrity_payload(self, system):
@@ -1243,43 +1185,20 @@ class MissionRunner:
         fired_out = {}
         for run in mission["runs"]:
             fired = fired_by_run[run["name"]]
-            fired_out[run["name"]] = {
-                "faults": sorted(fired["faults"]),
-                "behaviors": sorted(fired["behaviors"]),
-                "counts": fired["counts"],
-            }
-            if "corruptions" in fired:
-                fired_out[run["name"]]["corruptions"] = sorted(
-                    fired["corruptions"])
-            if "crashes" in fired:
-                fired_out[run["name"]]["crashes"] = sorted(
-                    fired["crashes"])
-            for index, rule in enumerate(run["faults"]):
-                if rule["must_fire"] and index not in fired["faults"]:
-                    vacuous.append(
-                        "%s: faults[%d] (%s on %s) never fired"
-                        % (run["name"], index, rule["kind"],
-                           rule["scope"]))
-            for index, rule in enumerate(run["corruptions"]):
-                if rule["must_fire"] \
-                        and index not in fired.get("corruptions", ()):
-                    vacuous.append(
-                        "%s: corruptions[%d] (%s on %s) never fired"
-                        % (run["name"], index, rule["kind"],
-                           rule["scope"]))
-            for index, rule in enumerate(mission["behaviors"]):
-                if rule["must_fire"] and index not in fired["behaviors"]:
-                    vacuous.append(
-                        "%s: behaviors[%d] (%s on %s) never fired"
-                        % (run["name"], index, rule["kind"],
-                           rule["domain"] or "<any>"))
-            for index, rule in enumerate(run["crashes"]):
-                if rule["must_fire"] \
-                        and index not in fired.get("crashes", ()):
-                    vacuous.append(
-                        "%s: crashes[%d] (on %s) never fired"
-                        % (run["name"], index,
-                           rule["component"] or "<any>"))
+            fired_out[run["name"]] = dict(
+                {plane: sorted(fired[plane])
+                 for plane in _AUDIT_PLANES if plane in fired},
+                counts=fired["counts"])
+            for plane, target in _AUDIT_PLANES.items():
+                rules = run[plane] if plane in run else mission[plane]
+                for index, rule in enumerate(rules):
+                    if rule["must_fire"] \
+                            and index not in fired.get(plane, ()):
+                        what = "on %s" % (rule[target] or "<any>")
+                        if "kind" in rule:
+                            what = "%s %s" % (rule["kind"], what)
+                        vacuous.append("%s: %s[%d] (%s) never fired"
+                                       % (run["name"], plane, index, what))
         return {"passed": not vacuous, "fired": fired_out,
                 "vacuous": vacuous}
 

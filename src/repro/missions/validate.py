@@ -24,6 +24,15 @@ from repro.missions.schema import (DOMAIN_KINDS, DRIVER_KINDS,
 #: retention/progress invariants).
 _MEASURED_KINDS = ("fsclient", "pager", "compute")
 
+#: The two disk-rule planes of a run: key -> (field tuple, the kinds
+#: that may list explicit ``blocks``; None: every kind). A loud fault's
+#: blocks are persistent bad LBAs, so only ``bad_block`` takes them; a
+#: corruption of any kind may pin its blocks.
+_DISK_RULES = {
+    "faults": (schema.FAULT_FIELDS, ("bad_block",)),
+    "corruptions": (schema.CORRUPTION_FIELDS, None),
+}
+
 
 class MissionError(ValueError):
     """A mission failed validation; ``path`` names the field."""
@@ -429,9 +438,10 @@ class MissionValidator:
                                         "%s.deadline_s" % path)
             else:
                 deadline = _default(deadline_field)
-            faults = self._faults(entry.get("faults"), path, pagers, merged)
-            corruptions = self._corruptions(entry.get("corruptions"), path,
-                                            pagers, merged)
+            faults = self._disk_rules("faults", entry.get("faults"), path,
+                                      pagers)
+            corruptions = self._disk_rules(
+                "corruptions", entry.get("corruptions"), path, pagers)
             crashes = self._crashes(entry.get("crashes"), path, pagers,
                                     merged, supervision)
             runs.append({"name": name, "deadline_s": deadline,
@@ -444,17 +454,21 @@ class MissionValidator:
                                "volumes")
         return runs
 
-    def _faults(self, raw, run_path, pagers, topology):
+    def _disk_rules(self, plane, raw, run_path, pagers):
+        """``runs.faults`` or ``runs.corruptions``: the two disk-rule
+        planes share one scope/window/LBA grammar (see
+        :data:`_DISK_RULES` for what differs)."""
         if raw is None:
             return []
         if not isinstance(raw, list):
-            raise MissionError("%s.faults" % run_path,
+            raise MissionError("%s.%s" % (run_path, plane),
                                "expected an array of tables")
+        fields, block_kinds = _DISK_RULES[plane]
         rules = []
         during_by_target = {}
         for index, entry in enumerate(raw):
-            path = "%s.faults[%d]" % (run_path, index)
-            rule = _section(entry, schema.FAULT_FIELDS, path)
+            path = "%s.%s[%d]" % (run_path, plane, index)
+            rule = _section(entry, fields, path)
             scope = rule["scope"]
             if scope == "disk":
                 target = "disk"
@@ -475,107 +489,23 @@ class MissionValidator:
                                        "extent scope needs %r on the "
                                        "single-disk store (store='sfs')"
                                        % victim)
-                if prefix == "volume_of":
-                    if store != "usbs":
-                        raise MissionError("%s.scope" % path,
-                                           "volume_of scope needs %r on "
-                                           "store='usbs'" % victim)
-                    if topology["volumes"] < 1:
-                        raise MissionError("%s.scope" % path,
-                                           "volume_of scope needs volumes "
-                                           ">= 1 in this run")
+                # (A usbs victim already forces volumes >= 1 on the
+                # run, so volume_of needs no volume-count check here.)
+                if prefix == "volume_of" and store != "usbs":
+                    raise MissionError("%s.scope" % path,
+                                       "volume_of scope needs %r on "
+                                       "store='usbs'" % victim)
                 target = "disk" if prefix == "extent" else scope
             else:
                 raise MissionError("%s.scope" % path,
                                    "must be 'disk', 'extent:<domain>' or "
                                    "'volume_of:<domain>', got %r" % scope)
-            if rule["blocks"] and rule["kind"] != "bad_block":
+            if rule["blocks"] and block_kinds is not None \
+                    and rule["kind"] not in block_kinds:
                 raise MissionError("%s.blocks" % path,
                                    "explicit blocks are only for "
-                                   "kind='bad_block'")
-            if rule["blocks"] and not scope.startswith("extent:"):
-                raise MissionError("%s.blocks" % path,
-                                   "blocks count needs an extent scope")
-            if rule["during"] == "measure":
-                if rule["start_sec"] != 0.0 or rule["end_sec"] != -1.0:
-                    raise MissionError("%s.during" % path,
-                                       "during='measure' computes its own "
-                                       "window; leave start_sec/end_sec "
-                                       "unset")
-                if rule["duration_sec"] != -1.0 \
-                        and rule["duration_sec"] <= 0.0:
-                    raise MissionError("%s.duration_sec" % path,
-                                       "must be > 0 (or -1 for 'to end of "
-                                       "run')")
-            else:
-                if rule["duration_sec"] != -1.0:
-                    raise MissionError("%s.duration_sec" % path,
-                                       "only valid with during='measure'")
-                if rule["end_sec"] != -1.0 \
-                        and rule["end_sec"] <= rule["start_sec"]:
-                    raise MissionError("%s.end_sec" % path,
-                                       "must be after start_sec (or -1)")
-            if rule["lba_end"] != -1 and rule["lba_end"] <= rule["lba_start"]:
-                raise MissionError("%s.lba_end" % path,
-                                   "must be after lba_start (or -1)")
-            if scope != "disk" and (rule["lba_start"] or rule["lba_end"]
-                                    != -1):
-                raise MissionError("%s.lba_start" % path,
-                                   "explicit LBA bounds are only for "
-                                   "scope='disk'")
-            earlier = during_by_target.setdefault(target, rule["during"])
-            if earlier != rule["during"]:
-                raise MissionError("%s.during" % path,
-                                   "all rules on the same disk must share "
-                                   "one 'during' (one plan per disk)")
-            rules.append(rule)
-        return rules
-
-    def _corruptions(self, raw, run_path, pagers, topology):
-        if raw is None:
-            return []
-        if not isinstance(raw, list):
-            raise MissionError("%s.corruptions" % run_path,
-                               "expected an array of tables")
-        rules = []
-        during_by_target = {}
-        for index, entry in enumerate(raw):
-            path = "%s.corruptions[%d]" % (run_path, index)
-            rule = _section(entry, schema.CORRUPTION_FIELDS, path)
-            scope = rule["scope"]
-            if scope == "disk":
-                target = "disk"
-            elif scope.startswith("extent:") or scope.startswith(
-                    "volume_of:"):
-                prefix, _, victim = scope.partition(":")
-                if victim not in pagers:
-                    raise MissionError("%s.scope" % path,
-                                       "names no pager domain: %r" % victim)
-                store = pagers[victim]["store"]
-                if prefix == "extent" \
-                        and pagers[victim]["driver_kind"] == "seg":
-                    raise MissionError("%s.scope" % path,
-                                       "the seg regime has no swap "
-                                       "extent to scope a rule to")
-                if prefix == "extent" and store != "sfs":
-                    raise MissionError("%s.scope" % path,
-                                       "extent scope needs %r on the "
-                                       "single-disk store (store='sfs')"
-                                       % victim)
-                if prefix == "volume_of":
-                    if store != "usbs":
-                        raise MissionError("%s.scope" % path,
-                                           "volume_of scope needs %r on "
-                                           "store='usbs'" % victim)
-                    if topology["volumes"] < 1:
-                        raise MissionError("%s.scope" % path,
-                                           "volume_of scope needs volumes "
-                                           ">= 1 in this run")
-                target = "disk" if prefix == "extent" else scope
-            else:
-                raise MissionError("%s.scope" % path,
-                                   "must be 'disk', 'extent:<domain>' or "
-                                   "'volume_of:<domain>', got %r" % scope)
+                                   "kind=%s" % "/".join(
+                                       repr(kind) for kind in block_kinds))
             if rule["blocks"] and not scope.startswith("extent:"):
                 raise MissionError("%s.blocks" % path,
                                    "blocks count needs an extent scope")

@@ -24,9 +24,12 @@ def check_consistency(system):
     1. A frame is free in physical memory iff it has no RamTab owner.
     2. Every owned frame is on exactly one client's frame stack, and
        every stack entry is owned by that client's domain.
-    3. A RamTab entry marked MAPPED/NAILED points at a PTE that maps
-       that frame (and vice versa: every mapped PTE's frame is marked).
-    4. No physical frame is mapped by two virtual pages.
+    3. A RamTab entry marked MAPPED/NAILED points at a page that maps
+       that frame — through its PTE, or through the seg regime's
+       base+limit extent covering it — and vice versa: every frame a
+       PTE or an extent maps is marked.
+    4. No physical frame is mapped by two virtual pages (PTE- and
+       extent-mapped pages alike).
     5. Client accounting: ``allocated`` equals the stack size and the
        RamTab ownership count; the sum of guarantees of live clients
        respects admission control.
@@ -81,13 +84,24 @@ def check_consistency(system):
     # --- 3 & 4: RamTab vs page table -----------------------------------
     from repro.mm.ramtab import FrameState
 
+    seg = system.translation.seg
+    extents = list(seg.extents.values()) if seg is not None else []
+
+    def extent_pfn(vpn):
+        # SegTranslation.resolve counts hits; the audit must not.
+        for extent in extents:
+            if extent.covers(vpn):
+                return extent.pfn_of(vpn)
+        return None
+
     frames_seen_mapped = {}
     for pfn in range(physmem.total_frames):
         state = ramtab.state(pfn)
         vpn = ramtab.mapped_vpn(pfn)
         if state in (FrameState.MAPPED, FrameState.NAILED):
             pte = pagetable.peek(vpn) if vpn is not None else None
-            if pte is None or pte.pfn != pfn:
+            if (pte is None or pte.pfn != pfn) and (
+                    vpn is None or extent_pfn(vpn) != pfn):
                 problems.append(
                     "PFN %d marked %s at VPN %s but the PTE disagrees"
                     % (pfn, state.value, vpn))
@@ -100,22 +114,27 @@ def check_consistency(system):
         for vpn in range(stretch.base_vpn,
                          stretch.base_vpn + stretch.npages):
             pte = pagetable.peek(vpn)
-            if pte is None or not pte.mapped:
-                continue
-            if pte.pfn in frames_seen_mapped:
-                problems.append(
-                    "PFN %d mapped twice: VPN %#x and VPN %#x"
-                    % (pte.pfn, frames_seen_mapped[pte.pfn], vpn))
-            frames_seen_mapped[pte.pfn] = vpn
-            state = ramtab.state(pte.pfn)
-            if state is FrameState.UNUSED:
-                problems.append(
-                    "VPN %#x maps PFN %d which the RamTab calls unused"
-                    % (vpn, pte.pfn))
-            if pte.nailed != (state is FrameState.NAILED):
-                problems.append(
-                    "VPN %#x nailed bit disagrees with RamTab for PFN %d"
-                    % (vpn, pte.pfn))
+            mappings = []
+            if pte is not None and pte.mapped:
+                mappings.append((pte.pfn, pte.nailed))
+            seg_pfn = extent_pfn(vpn)
+            if seg_pfn is not None:
+                mappings.append((seg_pfn, False))   # extents never nail
+            for pfn, nailed in mappings:
+                if pfn in frames_seen_mapped:
+                    problems.append(
+                        "PFN %d mapped twice: VPN %#x and VPN %#x"
+                        % (pfn, frames_seen_mapped[pfn], vpn))
+                frames_seen_mapped[pfn] = vpn
+                state = ramtab.state(pfn)
+                if state is FrameState.UNUSED:
+                    problems.append(
+                        "VPN %#x maps PFN %d which the RamTab calls unused"
+                        % (vpn, pfn))
+                if nailed != (state is FrameState.NAILED):
+                    problems.append(
+                        "VPN %#x nailed bit disagrees with RamTab for PFN %d"
+                        % (vpn, pfn))
 
     if problems:
         raise ConsistencyError(

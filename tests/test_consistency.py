@@ -20,6 +20,24 @@ MB = 1024 * 1024
 QOS = QoSSpec(period_ns=250 * MS, slice_ns=100 * MS, laxity_ns=10 * MS)
 
 
+def _seg_app(system, pages):
+    app = system.new_app("seg", guaranteed_frames=pages + 2)
+    stretch = app.new_stretch(pages * system.machine.page_size)
+    driver = app.seg_driver()
+    app.bind(stretch, driver)
+    return app, stretch, driver
+
+
+def _touch_all(stretch):
+    for va in stretch.pages():
+        yield Touch(va, AccessKind.WRITE)
+
+
+def _run(system, app, body):
+    thread = app.spawn(body)
+    system.sim.run_until_triggered(thread.done, limit=10 * SEC)
+
+
 class TestAuditPasses:
     def test_fresh_system(self, system):
         assert check_consistency(system)
@@ -62,6 +80,17 @@ class TestAuditPasses:
         system.frames_allocator._kill(hog.frames)
         system.run_for(100 * MS)
         assert check_consistency(system)
+
+    def test_after_seg_workload(self, system):
+        """Seg-regime frames map through a base+limit extent, not a
+        PTE; the auditor accepts a frame its extent maps."""
+        app, stretch, driver = _seg_app(system, pages=32)
+        _run(system, app, _touch_all(stretch))
+        extent = driver.seg.extent_of(stretch.sid)
+        assert extent is not None and extent.limit == 32
+        hits = driver.seg.hits
+        assert check_consistency(system)
+        assert driver.seg.hits == hits   # the audit does not translate
 
     def test_after_shutdown(self, system):
         app = system.new_app("bye", guaranteed_frames=8)
@@ -113,6 +142,27 @@ class TestAuditDetectsCorruption:
         system.translation.map(app.domain, stretch.base, pfn)
         system.pagetable.peek(stretch.base_vpn).make_null()  # corrupt
         with pytest.raises(ConsistencyError):
+            check_consistency(system)
+
+
+    def test_detects_seg_ramtab_vpn_disagreement(self, system):
+        app, stretch, driver = _seg_app(system, pages=32)
+        _run(system, app, _touch_all(stretch))
+        extent = driver.seg.extent_of(stretch.sid)
+        pfn = extent.pfn_of(stretch.base_vpn + 3)
+        # Corrupt: the RamTab records the wrong page for a seg frame.
+        system.ramtab.set_mapped(pfn, stretch.base_vpn + 4)
+        with pytest.raises(ConsistencyError, match="PFN %d marked" % pfn):
+            check_consistency(system)
+
+    def test_detects_seg_frame_also_mapped_by_pte(self, system):
+        app, stretch, driver = _seg_app(system, pages=8)
+        _run(system, app, _touch_all(stretch))
+        pfn = driver.seg.extent_of(stretch.sid).base_pfn
+        other = app.new_stretch(system.machine.page_size)
+        # Corrupt: a PTE elsewhere maps a frame the extent already maps.
+        system.pagetable.peek(other.base_vpn).map(pfn)
+        with pytest.raises(ConsistencyError, match="mapped twice"):
             check_consistency(system)
 
 

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FireRecorder
 from repro.faults.corrupt import (BIT_FLIP, CORRUPT_KINDS,
                                   MISDIRECTED_WRITE, TORN_WRITE,
                                   CorruptionInjector, CorruptPlan,
-                                  CorruptRule, corrupt_plan_from_config,
-                                  extent_corruption)
+                                  CorruptRule)
 from repro.hw.disk import READ, DiskRequest
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.units import MS
@@ -28,6 +28,13 @@ from repro.usd.sfs import Extent
 
 def _req(lba, nblocks=8, client="victim"):
     return DiskRequest(kind=READ, lba=lba, nblocks=nblocks, client=client)
+
+
+def _extent_plan(seed, extent, kind, rate):
+    """One corruption rule scoped to ``extent``'s LBA range."""
+    return CorruptPlan(seed=seed, rules=(
+        CorruptRule(kind=kind, rate=rate, lba_start=extent.start,
+                    lba_end=extent.end),))
 
 
 class TestRuleValidation:
@@ -43,10 +50,6 @@ class TestRuleValidation:
     def test_bad_time_window_refused(self):
         with pytest.raises(ValueError):
             CorruptRule(kind=BIT_FLIP, start_ns=5, end_ns=5)
-
-    def test_config_round_trip_rejects_unknown_keys(self):
-        with pytest.raises(ValueError):
-            corrupt_plan_from_config(7, [{"kind": BIT_FLIP, "burst": 3}])
 
 
 class TestKindSemantics:
@@ -95,7 +98,6 @@ class TestKindSemantics:
         assert plan.decide_read(_req(200), 0) is None
 
     def test_first_firing_rule_wins_but_audit_sees_all(self):
-        from repro.faults.plan import FireRecorder
         plan = CorruptPlan(seed=1, rules=(
             CorruptRule(kind=TORN_WRITE, blocks=(100,)),
             CorruptRule(kind=BIT_FLIP, blocks=(100,)),))
@@ -146,7 +148,7 @@ class TestExtentIsolation:
         """For ANY seed, kind, rate and occasion, a plan scoped to one
         extent decides None for every read wholly outside it."""
         extent = Extent(500_000, 40_000)
-        plan = extent_corruption(seed, extent, kind=kind, rate=rate)
+        plan = _extent_plan(seed, extent, kind, rate)
         req = _req(lba)
         if req.end > extent.start and req.lba < extent.end:
             return   # overlaps the victim extent: fair game
@@ -158,5 +160,5 @@ class TestExtentIsolation:
         """The isolation above is not vacuous: at rate 1.0 every read
         inside the extent corrupts."""
         extent = Extent(500_000, 40_000)
-        plan = extent_corruption(seed, extent, kind=BIT_FLIP, rate=1.0)
+        plan = _extent_plan(seed, extent, BIT_FLIP, 1.0)
         assert plan.decide_read(_req(extent.start), 0) is not None

@@ -4,13 +4,13 @@ Crash rules are the third fault plane (disk lies, domains misbehave,
 components *die*); these tests pin the pure-plan semantics the
 supervisor and the mission plane build on — scoping, first-rule-wins,
 keyed-BLAKE2b determinism, ``max_crashes`` budget enforcement, and
-the config conversion the mission validator feeds.
+the config conversion the mission runner feeds.
 """
 
 import pytest
 
-from repro.faults import (CrashInjector, CrashPlan, CrashRule,
-                          crash_plan_from_config, crash_rule_from_config)
+from repro.faults import CrashInjector, CrashPlan, CrashRule
+from repro.missions.runner import _crash_rule
 from repro.sim.units import MS, SEC
 
 
@@ -93,23 +93,12 @@ class TestCrashPlan:
 
 
 class TestConfigConversion:
-    def test_round_trip_from_config(self):
-        plan = crash_plan_from_config(7, [
-            {"component": "pager:a", "rate": 0.5, "start_ns": 1 * SEC,
-             "end_ns": 2 * SEC, "max_crashes": 3},
-        ])
-        assert plan.seed == 7
-        assert plan.rules == (CrashRule(component="pager:a", rate=0.5,
-                                        start_ns=1 * SEC, end_ns=2 * SEC,
-                                        max_crashes=3),)
-
-    def test_unknown_key_is_a_hard_error(self):
-        with pytest.raises(ValueError, match="banana"):
-            crash_rule_from_config({"component": "usd", "banana": 1})
-
     def test_bad_field_values_propagate(self):
+        """A mission crash rule that reached the runner unvalidated
+        still fails on the rule's own checks."""
         with pytest.raises(ValueError, match="rate"):
-            crash_rule_from_config({"rate": 2.0})
+            _crash_rule({"component": "", "rate": 2.0, "start_sec": 0.0,
+                         "end_sec": -1.0, "max_crashes": 1})
 
 
 class TestCrashInjector:

@@ -4,12 +4,17 @@ import pytest
 
 from repro.faults import (
     BAD_BLOCK,
+    BIT_FLIP,
+    REVOKE_SILENT,
     LATENCY,
     STATUS_IO_ERROR,
     STATUS_OK,
     STATUS_TIMEOUT,
     STUCK,
     TRANSIENT,
+    BehaviorRule,
+    CorruptRule,
+    CrashRule,
     FaultInjector,
     FaultPlan,
     FaultRule,
@@ -105,6 +110,34 @@ class TestScoping:
             FaultRule(kind="meteor")
         with pytest.raises(ValueError):
             FaultRule(kind=TRANSIENT, rate=1.5)
+
+
+#: One constructor per fault plane, taking the rule window as keywords.
+_RULE_MAKERS = {
+    "fault": lambda **window: FaultRule(TRANSIENT, **window),
+    "behavior": lambda **window: BehaviorRule(REVOKE_SILENT, **window),
+    "crash": lambda **window: CrashRule(**window),
+    "corrupt": lambda **window: CorruptRule(BIT_FLIP, **window),
+}
+
+
+class TestRuleWindow:
+    """Every plane shares one window: a rule that could never fire is
+    refused at construction, and the window is half-open."""
+
+    @pytest.mark.parametrize("plane", sorted(_RULE_MAKERS))
+    def test_empty_and_negative_windows_refused(self, plane):
+        make = _RULE_MAKERS[plane]
+        with pytest.raises(ValueError, match="end_ns must exceed start_ns"):
+            make(start_ns=10, end_ns=5)
+        with pytest.raises(ValueError, match="end_ns must exceed start_ns"):
+            make(start_ns=10, end_ns=10)
+        with pytest.raises(ValueError, match="negative start_ns"):
+            make(start_ns=-1)
+        rule = make(start_ns=10, end_ns=20)
+        assert [rule.in_window(now) for now in (9, 10, 19, 20)] \
+            == [False, True, True, False]
+        assert make().in_window(10 ** 15)     # end_ns=None: forever
 
 
 class TestPrecedence:

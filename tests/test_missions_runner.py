@@ -32,6 +32,8 @@ GOLDEN_MISSIONS = [
                             "matrix-silent-transient-sfs.toml")),
     ("corruption", os.path.join("missions", "matrix",
                                 "corruption-bitflip-sfs.toml")),
+    ("crash-recovery", os.path.join("missions", "matrix",
+                                    "crash-pager-sfs.toml")),
 ]
 
 

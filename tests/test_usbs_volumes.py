@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults.plan import disk_storm
+from repro.faults import TRANSIENT, FaultPlan, FaultRule
 from repro.hw.disk import READ, WRITE
 from repro.hw.platform import Machine
 from repro.sched.atropos import QoSSpec
@@ -23,6 +23,9 @@ from repro.usd.usd import BlokLostError
 
 QOS = QoSSpec(period_ns=100 * MS, slice_ns=20 * MS, laxity_ns=5 * MS)
 BIG = QoSSpec(period_ns=100 * MS, slice_ns=90 * MS, laxity_ns=5 * MS)
+
+#: A failing spindle: every transaction on the disk fails, every time.
+_FULL_STORM = FaultPlan(seed=7, rules=(FaultRule(kind=TRANSIENT, rate=1.0),))
 
 
 def make_manager(nvolumes=4, seed=1999, monitor=False, **kwargs):
@@ -164,7 +167,7 @@ class TestDegradedVolumePath:
         assert run_traffic(sim, other, range(other.nbloks)) == []
         # A permanent full-rate storm: every drain read fails its whole
         # retry ladder, so every blok of the victim backing is lost.
-        manager.install_fault_plan(victim.index, disk_storm(7, 1.0))
+        manager.install_fault_plan(victim.index, _FULL_STORM)
         manager.degrade(victim)
         deadline = sim.now + 300 * SEC
         while manager.drains_done < 1 and sim.now < deadline:
@@ -200,7 +203,7 @@ class TestDegradedVolumePath:
         swap = manager.create_backing("a", swap_bytes(machine, 8), QOS)
         victim = swap.slots[0].volume
         assert run_traffic(sim, swap, range(swap.nbloks)) == []
-        manager.install_fault_plan(victim.index, disk_storm(7, 1.0))
+        manager.install_fault_plan(victim.index, _FULL_STORM)
 
         def hammer():
             blok = 0
