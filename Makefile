@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: verify test obs chaos chaos-pressure report bench bench-smoke \
     scale scale-smoke smp smp-smoke regimes regimes-smoke sweep \
     sweep-smoke missions-lint matrix-drift crash integrity lint docs-lint \
-    perfbench-check
+    perfbench-check perfbench-ab
 
 # Tier-1 suite (the repo's acceptance bar) + the observability tests.
 verify: test obs
@@ -58,6 +58,19 @@ perfbench-check:
 	    sys.exit(0 if json.load(sys.stdin)["correct"] is True \
 	    else "perfbench output check failed")'
 	$(PYTHON) -m pytest perfbench -q
+
+# Interleaved same-host A/B of this tree against a git ref (checked out
+# into a temporary local worktree): per-pair ops_per_s and cpu_s, both
+# medians and the win count; fails if either side's output check fails
+# or the two sides' events_per_op differ.
+REF ?= HEAD
+WORKLOAD ?= inmem_loop
+PAIRS ?= 5
+SECONDS ?= 20
+
+perfbench-ab:
+	$(PYTHON) tools/perfbench_ab.py --ref $(REF) --workload $(WORKLOAD) \
+	    --pairs $(PAIRS) --seconds $(SECONDS)
 
 # Multi-volume USBS scale-out + failure-containment experiment
 # (results/scale.json; gates enforced at full scale). `scale-smoke` is
@@ -129,4 +142,5 @@ docs-lint:
 	$(PYTHON) tools/docstring_lint.py --threshold 90 src/repro/sim \
 	    src/repro/exp src/repro/usd src/repro/usbs src/repro/missions \
 	    src/repro/supervise src/repro/integrity src/repro/place \
-	    src/repro/regimes src/repro/faults
+	    src/repro/regimes src/repro/faults src/repro/sched \
+	    src/repro/kernel

@@ -24,10 +24,12 @@ expose ``consume(ns) -> SimEvent``.
 """
 
 from collections import deque
+from functools import partial
 
 from repro.obs.metrics import NULL_REGISTRY
 from repro.place import PlacementError, PlacementPolicy
 from repro.sched.atropos import ClientDepartedError, QoSSpec
+from repro.sim.core import SimEvent, Timeout
 from repro.sim.units import MS, US
 
 
@@ -88,11 +90,16 @@ class CpuAccount:
 
             sim.spawn(stalled(), name="%s-stalled" % self.name)
             return done
+        # Not migrating: an unsplit burst goes straight to the model.
+        cpu = self.cpu
+        quantum = cpu.quantum
+        if quantum is None or ns <= quantum:
+            return cpu._consume(self, ns, label)
         return self._dispatch(ns, label)
 
     def _dispatch(self, ns, label):
         # Quantum splitting + handoff to the CPU model (post-barrier).
-        quantum = getattr(self.cpu, "quantum", None)
+        quantum = self.cpu.quantum
         if quantum is None or ns <= quantum:
             return self.cpu._consume(self, ns, label)
         sim = self.cpu.sim
@@ -126,6 +133,7 @@ class UnlimitedCpu:
         self.sim = sim
 
     def register(self, name, qos=None):
+        """Open an account for ``name``; ``qos`` is ignored (no contracts)."""
         return CpuAccount(self, name)
 
     def _consume(self, account, ns, label):
@@ -143,10 +151,11 @@ class FifoCpu:
         sim.spawn(self._loop(), name="fifo-cpu")
 
     def register(self, name, qos=None):
+        """Open an account for ``name``; ``qos`` is ignored (FIFO order)."""
         return CpuAccount(self, name)
 
     def _consume(self, account, ns, label):
-        done = self.sim.event("cpu.burst")
+        done = SimEvent(self.sim, "cpu.burst")
         self._queue.append((ns, done))
         if not self._wake.triggered:
             self._wake.trigger(None)
@@ -163,6 +172,16 @@ class FifoCpu:
             if ns:
                 yield self.sim.timeout(ns)
             done.trigger(None)
+
+
+def _burst(sim, ns):
+    """The work item of one Atropos CPU burst: hold the CPU for ``ns``.
+
+    Shared by :class:`AtroposCpu` and :class:`SmpAtroposCpu`; bound to
+    its arguments with ``partial`` so a crashed scheduler can replay it.
+    """
+    if ns:
+        yield Timeout(sim, ns)
 
 
 DEFAULT_CPU_QOS = QoSSpec(period_ns=10 * MS, slice_ns=1 * MS, extra=True,
@@ -189,16 +208,15 @@ class AtroposCpu:
                       else AtroposScheduler(sim, name="cpu", trace=trace))
 
     def register(self, name, qos=None):
+        """Admit ``name``'s (p, s, x, l) contract (default
+        :data:`DEFAULT_CPU_QOS`) and return its account; raises
+        ``ValueError`` when admission control refuses the contract."""
         account = CpuAccount(self, name)
         account._client = self.sched.admit(name, qos or DEFAULT_CPU_QOS)
         return account
 
     def _consume(self, account, ns, label):
-        def serve():
-            if ns:
-                yield self.sim.timeout(ns)
-            return None
-        return account._client.submit(serve, label=label)
+        return account._client.submit(partial(_burst, self.sim, ns), label)
 
 
 DEFAULT_MIGRATION_COST = 50 * US
@@ -319,12 +337,7 @@ class SmpAtroposCpu:
 
     # -- serving -----------------------------------------------------------
 
-    def _consume(self, account, ns, label):
-        def serve():
-            if ns:
-                yield self.sim.timeout(ns)
-            return None
-        return account._client.submit(serve, label=label)
+    _consume = AtroposCpu._consume
 
     # -- migration ---------------------------------------------------------
 

@@ -147,8 +147,12 @@ class _BoundGauge:
         return self._cell[0]
 
 
-class _HistogramCell:
-    """Bucket counts + sum + count for one label set."""
+class _BoundHistogram:
+    """Bucket counts + sum + count for one label set.
+
+    The cell is its own bound instrument: ``child()`` hands it out
+    directly, so an observation is one call.
+    """
 
     __slots__ = ("bounds", "counts", "sum", "count")
 
@@ -164,27 +168,9 @@ class _HistogramCell:
         # The first bound >= value; past the last bound is the overflow.
         self.counts[bisect_left(self.bounds, value)] += 1
 
-
-class _BoundHistogram:
-    __slots__ = ("_cell",)
-
-    def __init__(self, cell):
-        self._cell = cell
-
-    def observe(self, value):
-        self._cell.observe(value)
-
-    @property
-    def count(self):
-        return self._cell.count
-
-    @property
-    def sum(self):
-        return self._cell.sum
-
     @property
     def mean(self):
-        return self._cell.sum / self._cell.count if self._cell.count else 0.0
+        return self.sum / self.count if self.count else 0.0
 
 
 class _Family:
@@ -272,13 +258,19 @@ class HistogramFamily(_Family):
         self.bounds = bounds
 
     def _new_cell(self):
-        return _HistogramCell(self.bounds)
+        return _BoundHistogram(self.bounds)
 
     def _bind(self, cell):
-        return _BoundHistogram(cell)
+        return cell
 
     def observe(self, value, **labels):
-        self._cell(labels).observe(value)
+        # The cell's update written out, not a call to
+        # _BoundHistogram.observe: perfbench's layer tracer counts calls
+        # of both, and one observation must count once.
+        cell = self._cell(labels)
+        cell.count += 1
+        cell.sum += value
+        cell.counts[bisect_left(self.bounds, value)] += 1
 
     def get(self, **labels):
         cell = self._cells.get(_label_key(labels))
@@ -393,8 +385,9 @@ class MetricsRegistry:
     """Owns every metric family of one system instance.
 
     Families are created on first request and are idempotent: asking for
-    the same name twice returns the same family (with a kind check, so a
-    name cannot silently change meaning).
+    the same name twice returns the same family (with a kind check, and
+    for histograms a bucket-bounds check, so a name cannot silently
+    change meaning).
     """
 
     def __init__(self, enabled=True):
@@ -421,9 +414,16 @@ class MetricsRegistry:
                             lambda: GaugeFamily(name, help=help))
 
     def histogram(self, name, buckets=LATENCY_BUCKETS_NS, help=""):
-        return self._family(
+        """The histogram family ``name``; raises ``ValueError`` if it
+        already exists with other bucket bounds."""
+        bounds = tuple(buckets)
+        family = self._family(
             name, "histogram",
-            lambda: HistogramFamily(name, buckets, help=help))
+            lambda: HistogramFamily(name, bounds, help=help))
+        if family is not _NULL_FAMILY and family.bounds != bounds:
+            raise ValueError("histogram %r has buckets %r, not %r"
+                             % (name, family.bounds, bounds))
+        return family
 
     def snapshot(self):
         """Capture every series right now."""

@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.obs.metrics import NULL_REGISTRY
-from repro.sim.core import Interrupt
+from repro.sim.core import Interrupt, SimEvent
 from repro.sim.units import fmt_time
 
 
@@ -104,11 +104,11 @@ class WorkItem:
 
     __slots__ = ("serve", "done", "label", "submitted_at")
 
-    def __init__(self, serve, done, label=""):
+    def __init__(self, serve, done, label="", submitted_at=None):
         self.serve = serve
         self.done = done
         self.label = label
-        self.submitted_at = None
+        self.submitted_at = submitted_at
 
 
 class AtroposClient:
@@ -118,6 +118,8 @@ class AtroposClient:
         self.scheduler = scheduler
         self.name = name
         self.qos = qos
+        self._sim = scheduler.sim
+        self._done_name = "%s.done" % name
         self._index = index          # admission order, EDF tie-break
         self.queue = deque()
         self.remaining = qos.slice_ns
@@ -173,10 +175,9 @@ class AtroposClient:
         """Queue a work item; returns the completion SimEvent."""
         if self.departed:
             raise RuntimeError("client %s has departed" % self.name)
-        done = self.scheduler.sim.event("%s.done" % self.name)
-        item = WorkItem(serve, done, label=label)
-        item.submitted_at = self.scheduler.sim.now
-        self.queue.append(item)
+        sim = self._sim
+        done = SimEvent(sim, self._done_name)
+        self.queue.append(WorkItem(serve, done, label, sim._now))
         self._g_queue.set(len(self.queue))
         # Work arrived: the current workless stretch ends, so the lax
         # allowance refreshes — but a client already marked idle (lax
@@ -383,11 +384,19 @@ class AtroposScheduler:
             self._record("alloc", client, remaining=client.remaining)
             self._kick()
 
+    # Both picks test the ``runnable`` property's conditions inline and
+    # compare deadlines alone: ``clients`` is in admission (``_index``)
+    # order, so the first client with the smallest deadline is exactly
+    # the ``_sort_key`` minimum.
+
     def _pick(self):
         """EDF among runnable clients; None if there are none."""
         best = None
         for client in self.clients:
-            if client.runnable and (best is None or client._sort_key() < best._sort_key()):
+            if (client.departed or client.remaining <= 0
+                    or client.lax_exhausted):
+                continue
+            if best is None or client.deadline < best.deadline:
                 best = client
         return best
 
@@ -398,15 +407,17 @@ class AtroposScheduler:
             return None
         best = None
         for client in self.clients:
-            if (not client.departed and client.qos.extra and client.queue
-                    and not client.runnable):
-                if best is None or client._sort_key() < best._sort_key():
-                    best = client
+            if (client.departed or not client.qos.extra or not client.queue
+                    or (client.remaining > 0 and not client.lax_exhausted)):
+                continue
+            if best is None or client.deadline < best.deadline:
+                best = client
         return best
 
     def _serve(self, client, item, charged):
         """Run one item to completion, measuring and charging its time."""
-        start = self.sim.now
+        sim = self.sim
+        start = sim._now
         self._current = (client, item)
         try:
             value = yield from item.serve()
@@ -415,13 +426,13 @@ class AtroposScheduler:
             raise
         except Exception as exc:  # propagate to the submitter, keep scheduling
             self._current = None
-            duration = self.sim.now - start
+            duration = sim._now - start
             if charged:
                 client.remaining -= duration
             item.done.fail(exc)
             return
         self._current = None
-        duration = self.sim.now - start
+        duration = sim._now - start
         client._h_txn.observe(duration)
         client._c_items.inc()
         if charged:
@@ -429,13 +440,16 @@ class AtroposScheduler:
             client.served_items += 1
             client.served_ns += duration
             client._c_served_ns.inc(duration)
-            self._record("txn", client, duration=duration, label=item.label,
-                         remaining=client.remaining)
+            if self.trace is not None:
+                self._record("txn", client, duration=duration,
+                             label=item.label, remaining=client.remaining)
         else:
             client.slack_items += 1
             client.slack_ns += duration
             client._c_slack_ns.inc(duration)
-            self._record("slack", client, duration=duration, label=item.label)
+            if self.trace is not None:
+                self._record("slack", client, duration=duration,
+                             label=item.label)
         item.done.trigger(value)
 
     def _loop(self):

@@ -21,6 +21,7 @@ revocation protocol), failure propagation, and AllOf/AnyOf combinators.
 """
 
 import heapq
+from heapq import heappush
 
 from repro.obs.metrics import NULL_INSTRUMENT, NULL_REGISTRY
 from repro.sim.units import fmt_time
@@ -123,10 +124,18 @@ class SimEvent:
             self._callbacks.append(fn)
 
     def _flush(self):
+        # The one fan-out routine: each waiter goes straight onto the
+        # heap at the current time with the next sequence number, the
+        # same entry ``_schedule(0, fn, self)`` would push.
         callbacks, self._callbacks = self._callbacks, []
-        schedule = self.sim._schedule
+        sim = self.sim
+        heap = sim._heap
+        now = sim._now
+        seq = sim._seq
         for fn in callbacks:
-            schedule(0, fn, self)
+            seq += 1
+            heappush(heap, (now, seq, fn, self))
+        sim._seq = seq
 
     def __repr__(self):
         state = "pending"
@@ -162,8 +171,7 @@ class Timeout(SimEvent):
         self.cancelled = False
         self._fire_value = value
         sim._seq += 1
-        heapq.heappush(sim._heap,
-                       (sim._now + delay, sim._seq, Timeout._fire, self))
+        heappush(sim._heap, (sim._now + delay, sim._seq, Timeout._fire, self))
 
     def _fire(self):
         if not self.cancelled and self._value is _PENDING:
@@ -284,6 +292,10 @@ class Process(SimEvent):
         self.sim._schedule(0, lambda: self._resume(None, Interrupt(cause)))
 
     def _on_event(self, event):
+        # The wake path: one call per wake. The generator is resumed and
+        # re-armed on the event it yields right here; only the cold
+        # paths (a failed event, start, interrupt, generator exit) go
+        # through _resume / _exit.
         if self._waiting_on is not event:
             return  # stale wakeup after an interrupt
         self._waiting_on = None
@@ -292,8 +304,20 @@ class Process(SimEvent):
             sim._h_wake.observe(sim._now - self._wait_since)
         if event._is_error:
             self._resume(None, event._value)
+            return
+        try:
+            target = self._gen.send(event._value)
+        except Exception as exc:
+            self._exit(exc)
+            return
+        if not isinstance(target, SimEvent):
+            self._bad_yield(target)
+        self._waiting_on = target
+        self._wait_since = sim._now
+        if target._value is _PENDING:
+            target._callbacks.append(self._on_event_cb)
         else:
-            self._resume(event._value, None)
+            target.sim._schedule(0, self._on_event_cb, target)
 
     def _resume(self, value, exception):
         if not self.alive:
@@ -303,39 +327,41 @@ class Process(SimEvent):
                 target = self._gen.throw(exception)
             else:
                 target = self._gen.send(value)
-        except StopIteration as stop:
-            self.alive = False
-            self.trigger(getattr(stop, "value", None))
-            return
-        except Interrupt:
-            # Interrupted and the generator did not handle it: dies quietly
-            # (this is the "domain killed" path).
-            self.alive = False
-            if not self.triggered:
-                self._defunct_ok = True
-                self.trigger(None)
-            return
         except Exception as exc:
-            self.alive = False
-            if self._callbacks:
-                self.fail(exc)
-            else:
-                # Nobody is waiting: surface the error loudly.
-                self.alive = False
-                raise
+            self._exit(exc)
             return
         if not isinstance(target, SimEvent):
-            self.alive = False
-            raise SimulationError(
-                "process %r yielded %r; processes must yield SimEvent "
-                "instances (use sim.timeout() to sleep)" % (self.name, target)
-            )
+            self._bad_yield(target)
         self._waiting_on = target
         self._wait_since = self.sim._now
         if target._value is _PENDING:
             target._callbacks.append(self._on_event_cb)
         else:
             target.sim._schedule(0, self._on_event_cb, target)
+
+    def _exit(self, exc):
+        """The generator finished, died of an interrupt or raised."""
+        self.alive = False
+        if isinstance(exc, StopIteration):
+            self.trigger(exc.value)
+        elif isinstance(exc, Interrupt):
+            # Interrupted and the generator did not handle it: dies quietly
+            # (this is the "domain killed" path).
+            if not self.triggered:
+                self._defunct_ok = True
+                self.trigger(None)
+        elif self._callbacks:
+            self.fail(exc)
+        else:
+            # Nobody is waiting: surface the error loudly.
+            raise exc
+
+    def _bad_yield(self, target):
+        self.alive = False
+        raise SimulationError(
+            "process %r yielded %r; processes must yield SimEvent "
+            "instances (use sim.timeout() to sleep)" % (self.name, target)
+        )
 
 
 class Simulator:
@@ -380,7 +406,7 @@ class Simulator:
         if delay < 0:
             raise ValueError("cannot schedule into the past (delay=%r)" % delay)
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, fn, arg))
+        heappush(self._heap, (self._now + delay, self._seq, fn, arg))
 
     def _flush_dispatched(self):
         """Fold the plain dispatch count into the metrics counter."""

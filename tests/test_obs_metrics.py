@@ -110,6 +110,42 @@ class TestHistogram:
         assert child.sum == 6
         assert child.mean == 3.0
 
+    def test_bound_child_is_the_family_cell(self):
+        histogram = MetricsRegistry().histogram("h", buckets=(5,))
+        child = histogram.child(c="x")
+        assert child.mean == 0.0
+        assert histogram.child(c="x") is child
+        histogram.observe(7, c="x")
+        child.observe(1)
+        assert (child.count, child.sum, child.mean) == (2, 8, 4.0)
+        assert histogram.get(c="x") == {"count": 2, "sum": 8,
+                                        "buckets": [1, 1]}
+
+    def test_rerequest_with_same_buckets_returns_family(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", buckets=(10, 100))
+        assert registry.histogram("h", buckets=[10, 100]) is histogram
+        assert registry.histogram("lat") is registry.histogram(
+            "lat", buckets=LATENCY_BUCKETS_NS)
+
+    def test_rerequest_with_other_buckets_rejected(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", buckets=(10, 100))
+        histogram.observe(50)
+        with pytest.raises(ValueError, match="buckets"):
+            registry.histogram("h", buckets=(10, 1000))
+        with pytest.raises(ValueError, match="buckets"):
+            registry.histogram("h")
+        # The existing family keeps its bounds and its data.
+        assert histogram.bounds == (10, 100)
+        assert registry.histogram("h", buckets=(10, 100)).get()["count"] == 1
+
+    def test_disabled_registry_ignores_buckets(self):
+        registry = MetricsRegistry(enabled=False)
+        registry.histogram("h", buckets=(10,))
+        assert registry.histogram("h", buckets=(20,)).child() \
+            is NULL_INSTRUMENT
+
     def test_label_isolation(self):
         registry = MetricsRegistry()
         histogram = registry.histogram("h", buckets=(10,))
