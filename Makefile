@@ -143,4 +143,4 @@ docs-lint:
 	    src/repro/exp src/repro/usd src/repro/usbs src/repro/missions \
 	    src/repro/supervise src/repro/integrity src/repro/place \
 	    src/repro/regimes src/repro/faults src/repro/sched \
-	    src/repro/kernel
+	    src/repro/kernel src/repro/baseline

@@ -64,6 +64,7 @@ class ExternalPager:
 
     @property
     def queue_depth(self):
+        """Faults waiting behind the one being resolved."""
         return len(self._queue)
 
     def _loop(self):

@@ -22,12 +22,19 @@ class FcfsClient:
         self.name = name
         self.transactions = 0
         self.blocks_moved = 0
+        # The USD client's recovery counters: FCFS never retries, and
+        # a failed transaction surfaces raw rather than being counted.
+        self.retries = 0
+        self.failures = 0
 
     @property
     def qos(self):
+        """Always None: FCFS negotiates no QoS contract."""
         return None
 
     def submit(self, request: DiskRequest):
+        """Queue one transaction (relabelled with this client's name)
+        on the global FIFO; returns its completion event."""
         if request.client != self.name:
             request = DiskRequest(kind=request.kind, lba=request.lba,
                                   nblocks=request.nblocks, client=self.name,
@@ -38,6 +45,7 @@ class FcfsClient:
 
     @property
     def pending(self):
+        """This client's transactions still waiting in the FIFO."""
         return sum(1 for req, _done in self.service._queue
                    if req.client == self.name)
 
@@ -62,6 +70,9 @@ class FcfsDiskService:
         return client
 
     def depart(self, client, discard=False):
+        """Remove ``client``; queued transactions raise
+        :class:`PendingWorkError` unless ``discard``, which fails each
+        with :class:`ClientDepartedError`."""
         pending = [entry for entry in self._queue
                    if entry[0].client == client.name]
         if pending and not discard:

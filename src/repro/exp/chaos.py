@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from repro.exp import report
 from repro.exp.fig9 import Fig9Config
-from repro.missions import MISSION_SCHEMA_VERSION, run_mission, validate_mission
+from repro.missions import (MISSION_SCHEMA_VERSION, run_mission,
+                            validate_mission, verdicts)
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,7 @@ class ChaosResult:
     stats: dict         # recovery counters from the storm run
     victim: str
     reproducible: bool
+    isolated: bool      # both non-faulty domains within tolerance
 
     def retention(self, name):
         """Under-storm bandwidth as a fraction of fault-free bandwidth."""
@@ -63,12 +65,6 @@ class ChaosResult:
         return [name for name in self.baseline if name != self.victim]
 
     @property
-    def isolated(self):
-        """Both non-faulty domains within tolerance of fault-free."""
-        return all(abs(self.retention(name) - 1.0) <= self.config.tolerance
-                   for name in self.bystanders)
-
-    @property
     def passed(self):
         """Overall verdict: isolation held and the run reproduced."""
         return self.isolated and self.reproducible
@@ -80,6 +76,7 @@ def build_mission(config):
     The fsclient takes 50% of the disk, the pagers take their
     Figure-9 shares, and the storm (transient rate + bad blocks)
     lands on the last — smallest-guarantee — pager's swap extent.
+    The isolation verdict is its one ``bandwidth_retention`` check.
     """
     fig9 = config.fig9
     domains = [{
@@ -116,6 +113,10 @@ def build_mission(config):
         "runs": [{"name": "baseline"},
                  {"name": "storm", "faults": faults}],
         "determinism": {"repeat": "storm"},
+        "expect": [{"check": "bandwidth_retention", "run": "storm",
+                    "baseline": "baseline",
+                    "domains": [d["name"] for d in domains[:-1]],
+                    "tolerance": config.tolerance}],
     })
 
 
@@ -138,7 +139,9 @@ def run(config=ChaosConfig()):
     }
     return ChaosResult(config=config, baseline=baseline["mbit"],
                        storm=storm["mbit"], stats=stats, victim=victim,
-                       reproducible=mission_report["reproducible"])
+                       reproducible=mission_report["reproducible"],
+                       isolated=verdicts(mission_report)
+                       ["bandwidth_retention"]["passed"])
 
 
 def format_result(result):

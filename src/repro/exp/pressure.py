@@ -43,7 +43,8 @@ Expected runtime: ~1 s including the reproducibility re-run
 from dataclasses import dataclass
 
 from repro.exp import report
-from repro.missions import MISSION_SCHEMA_VERSION, run_mission, validate_mission
+from repro.missions import (MISSION_SCHEMA_VERSION, run_mission,
+                            validate_mission, verdicts)
 
 #: The paper platform's page size in KB (an EB164's 8 KB pages); the
 #: mission format sizes stretches in KB, the config in pages.
@@ -76,12 +77,17 @@ class PressureConfig:
 
 @dataclass
 class PressureResult:
-    """Payloads from both runs plus the scenario's pass/fail verdict."""
+    """Payloads from both runs plus the scenario's pass/fail verdict:
+    the four invariants are the mission's verdicts (:data:`_VERDICTS`)."""
 
     config: PressureConfig
     baseline: dict      # full payload, fault-free disk
     storm: dict         # full payload, transient storm on coop swap
     reproducible: bool
+    guarantees_held: bool
+    hostile_killed_only: bool
+    claim_satisfied: bool
+    bandwidth_held: bool
 
     def retention(self, name):
         """Under-storm bandwidth as a fraction of fault-free bandwidth."""
@@ -95,32 +101,6 @@ class PressureResult:
         return sorted(self.baseline["mbit"])
 
     @property
-    def guarantees_held(self):
-        """No cooperative domain ever dipped below its guarantee."""
-        return all(
-            payload["min_allocated"][name] >= self.config.coop_guaranteed
-            for payload in (self.baseline, self.storm)
-            for name in self.coops)
-
-    @property
-    def hostile_killed_only(self):
-        """Exactly the hostile domain was killed, in both runs."""
-        return all(payload["kills"] == {"hostile": 1}
-                   for payload in (self.baseline, self.storm))
-
-    @property
-    def claim_satisfied(self):
-        """The within-guarantee request succeeded in full, both runs."""
-        return all(payload["claim_granted"] == self.config.claim_frames
-                   for payload in (self.baseline, self.storm))
-
-    @property
-    def bandwidth_held(self):
-        """Every cooperative domain kept >= the retention floor."""
-        return all(self.retention(name) >= self.config.retention_floor
-                   for name in self.coops)
-
-    @property
     def passed(self):
         """Overall verdict: all four invariants plus reproducibility."""
         return (self.guarantees_held and self.hostile_killed_only
@@ -130,9 +110,19 @@ class PressureResult:
 
 _COOPS = ("coop-a", "coop-b")
 
+#: The result's verdict attributes -> the check kind deciding each (in
+#: both runs: no coop dipped below its guarantee, only the hostile
+#: domain was killed, the within-guarantee claim was granted in full;
+#: under the storm: every coop kept >= the retention floor).
+_VERDICTS = {"guarantees_held": "min_frames",
+             "hostile_killed_only": "kill_set",
+             "claim_satisfied": "claim_granted",
+             "bandwidth_held": "bandwidth_retention"}
+
 
 def build_mission(config):
-    """The pressure scenario as a normalised mission dict."""
+    """The pressure scenario as a normalised mission dict, its four
+    invariants declared as checks (see :data:`_VERDICTS`)."""
     stretch_kb = config.coop_stretch_pages * _PAGE_KB
     domains = [{
         "kind": "pager", "name": name, "period_ms": 250, "slice_ms": 50.0,
@@ -176,6 +166,15 @@ def build_mission(config):
                  "scope": "extent:%s" % name} for name in _COOPS]},
         ],
         "determinism": {"repeat": "storm"},
+        "expect": [
+            {"check": "min_frames", "domains": list(_COOPS),
+             "floor": config.coop_guaranteed},
+            {"check": "kill_set", "exactly": {"hostile": 1}},
+            {"check": "claim_granted", "frames": config.claim_frames},
+            {"check": "bandwidth_retention", "run": "storm",
+             "baseline": "baseline", "domains": list(_COOPS),
+             "floor": config.retention_floor},
+        ],
     })
 
 
@@ -208,11 +207,13 @@ def run(config=PressureConfig()):
     """Execute the pressure mission: fault-free baseline, the storm,
     then the storm again (determinism)."""
     mission_report = run_mission(build_mission(config))
+    checks = verdicts(mission_report)
     return PressureResult(
         config=config,
         baseline=_payload(mission_report["runs"]["baseline"]),
         storm=_payload(mission_report["runs"]["storm"]),
-        reproducible=mission_report["reproducible"])
+        reproducible=mission_report["reproducible"],
+        **{name: checks[kind]["passed"] for name, kind in _VERDICTS.items()})
 
 
 def format_result(result):

@@ -47,8 +47,6 @@ Writes ``regimes.json`` to ``--out`` (default ``results/``); exits
 non-zero if any gate fails.
 """
 
-import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -437,39 +435,12 @@ def format_result(payload, config):
     return "\n".join(lines)
 
 
-def write_payload(payload, out_dir="results"):
-    """Write ``regimes.json``; returns the path."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "regimes.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def main(argv=None):
     """CLI: run the legs, print the tables, write ``regimes.json``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    smoke = "--smoke" in argv
-    if smoke:
-        argv.remove("--smoke")
-    out_dir = "results"
-    if "--out" in argv:
-        index = argv.index("--out")
-        out_dir = argv[index + 1]
-        del argv[index:index + 2]
-    if argv:
-        print("unknown regimes argument(s): %s" % " ".join(argv))
-        return 1
-    config = smoke_config() if smoke else RegimesConfig()
-    payload = run(config)
-    print(format_result(payload, config))
-    path = write_payload(payload, out_dir=out_dir)
-    print()
-    print("wrote %s" % path)
-    if not payload["passed"] and not config.smoke:
-        return 1
-    return 0
+    from repro.exp import report
+
+    return report.scenario_main("regimes", argv, RegimesConfig, smoke_config,
+                                run, format_result)
 
 
 if __name__ == "__main__":

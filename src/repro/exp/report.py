@@ -7,6 +7,10 @@ client, filled boxes for transactions, lines for lax time, arrows for
 new allocations.
 """
 
+import json
+import os
+import sys
+
 from repro.sim.units import MS, SEC, fmt_time
 
 
@@ -101,3 +105,33 @@ def trace_summary(trace, start, end):
         ["client", "txns", "service(ms)", "mean(ms)", "lax(ms)", "allocs"],
         rows, title="USD accounting %s .. %s" % (fmt_time(start),
                                                  fmt_time(end)))
+
+
+def scenario_main(name, argv, config, smoke_config, run, format_result):
+    """The CLI ``[--smoke] [--out DIR]`` shared by the gated scenarios
+    (``scale``, ``smp``, ``regimes``): run, print the tables, write
+    ``<name>.json`` (default dir ``results``); exit 1 on an unknown
+    argument or, outside smoke mode, a failed gate."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    smoke = "--smoke" in argv
+    if smoke:
+        argv.remove("--smoke")
+    out_dir = "results"
+    if "--out" in argv:
+        index = argv.index("--out")
+        out_dir = argv[index + 1]
+        del argv[index:index + 2]
+    if argv:
+        print("unknown %s argument(s): %s" % (name, " ".join(argv)))
+        return 1
+    config = smoke_config() if smoke else config()
+    payload = run(config)
+    print(format_result(payload, config))
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "%s.json" % name)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print()
+    print("wrote %s" % path)
+    return 1 if not payload["passed"] and not config.smoke else 0

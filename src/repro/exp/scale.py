@@ -56,12 +56,12 @@ statistically meaningful). Writes ``scale.json`` to ``--out`` (default
 ``results/``); exits non-zero if any gate fails.
 """
 
-import json
-import os
 import sys
 from dataclasses import dataclass
 
-from repro.missions import MISSION_SCHEMA_VERSION, run_mission, validate_mission
+from repro.exp import report
+from repro.missions import (MISSION_SCHEMA_VERSION, run_mission,
+                            validate_mission, verdicts)
 
 MB = 1024 * 1024
 
@@ -135,7 +135,8 @@ def _phases(config, wait_drains):
 
 
 def build_scaling_mission(config):
-    """Legs A + B (one volume vs striped) as a normalised mission."""
+    """Legs A + B (one volume vs striped) as a normalised mission; the
+    ``scaling`` and ``share_error`` checks are leg B's two gates."""
     return validate_mission({
         "schema": MISSION_SCHEMA_VERSION,
         "mission": {"name": "scale-scaling", "family": "scale",
@@ -145,11 +146,19 @@ def build_scaling_mission(config):
         "phases": _phases(config, wait_drains=False),
         "runs": [{"name": "one_volume", "topology": {"volumes": 1}},
                  {"name": "striped"}],
+        "expect": [
+            {"check": "scaling", "run": "striped", "baseline": "one_volume",
+             "min": config.min_scaling},
+            {"check": "share_error", "run": "striped",
+             "max": config.share_tolerance},
+        ],
     })
 
 
 def build_failover_mission(config):
-    """Leg C (pinned placement, clean vs volume storm) as a mission."""
+    """Leg C (pinned placement, clean vs volume storm) as a mission;
+    its four checks are leg C's gates (see :data:`_FAILOVER_GATES`)."""
+    domains = _domains(config)
     victim = "scale-%d" % config.shares[1]
     return validate_mission({
         "schema": MISSION_SCHEMA_VERSION,
@@ -157,7 +166,7 @@ def build_failover_mission(config):
                     "seed": config.seed},
         "topology": {"volumes": config.volumes,
                      "volume_placement": "pinned"},
-        "workload": {"domains": _domains(config)},
+        "workload": {"domains": domains},
         "phases": _phases(config, wait_drains=True),
         "runs": [
             {"name": "pinned"},
@@ -166,7 +175,24 @@ def build_failover_mission(config):
                  "scope": "volume_of:%s" % victim, "during": "measure",
                  "duration_sec": config.storm_sec}]},
         ],
+        "expect": [
+            {"check": kind, "run": "pinned_storm", "victim_of": victim}
+            for kind in ("exposure_contained", "drained",
+                         "losses_contained")
+        ] + [
+            {"check": "bandwidth_retention", "run": "pinned_storm",
+             "baseline": "pinned",
+             "domains": [d["name"] for d in domains if d["name"] != victim],
+             "floor": config.retention_floor},
+        ],
     })
+
+
+#: Leg C's gates -> the check kind deciding each.
+_FAILOVER_GATES = {"exposure_contained": "exposure_contained",
+                   "degraded_and_drained": "drained",
+                   "losses_contained": "losses_contained",
+                   "bystanders_retained": "bandwidth_retention"}
 
 
 def _leg(payload):
@@ -189,6 +215,7 @@ def _leg(payload):
 def run_scaling(config):
     """Leg A (one volume) vs leg B (striped across all volumes)."""
     mission_report = run_mission(build_scaling_mission(config))
+    checks = verdicts(mission_report)
     legs = {}
     for name, volumes in (("one_volume", 1), ("striped", config.volumes)):
         payload = mission_report["runs"][name]
@@ -197,19 +224,15 @@ def run_scaling(config):
         leg["placement"] = "striped"
         leg["populate_sec"] = payload["populate_sec"]
         legs[name] = leg
-    leg_a, leg_b = legs["one_volume"], legs["striped"]
-    scaling = (leg_b["aggregate_mbit"] / leg_a["aggregate_mbit"]
-               if leg_a["aggregate_mbit"] else 0.0)
-    worst = max((row["relative_error"] for row in leg_b["volume_shares"]),
-                default=0.0)
     return {
-        "one_volume": leg_a,
-        "striped": leg_b,
-        "scaling": round(scaling, 2),
-        "worst_share_error": worst,
+        "one_volume": legs["one_volume"],
+        "striped": legs["striped"],
+        "scaling": checks["scaling"]["observed"]["scaling"],
+        "worst_share_error": checks["share_error"]["observed"]
+                                   ["worst_share_error"],
         "gates": {
-            "scaling": scaling >= config.min_scaling,
-            "qos_shares": worst <= config.share_tolerance,
+            "scaling": checks["scaling"]["passed"],
+            "qos_shares": checks["share_error"]["passed"],
         },
     }
 
@@ -222,6 +245,7 @@ def run_failover(config):
     """Clean pinned run, then the same run with a storm on the volume
     the seeded draw pinned the middle domain to."""
     mission_report = run_mission(build_failover_mission(config))
+    checks = verdicts(mission_report)
     clean = _leg(mission_report["runs"]["pinned"])
     storm_payload = mission_report["runs"]["pinned_storm"]
     storm = _leg(storm_payload)
@@ -235,43 +259,25 @@ def run_failover(config):
     assert all(volumes["initial"][name][0] != victim
                for name in bystanders), \
         "placement draw put a bystander on the victim volume"
-    exposure = volumes["exposure"]
-    leaked = {name: count for name, count in exposure.items()
-              if name != victim and count}
     retention = {}
     for name in bystanders:
         before = clean["bandwidth_mbit"][name]
         during = storm["bandwidth_mbit"][name]
         retention[name] = round(during / before, 4) if before else 0.0
-    lost_elsewhere = {
-        name: len(storm_payload["domains"][name]["lost_bloks"])
-        for name in bystanders
-        if storm_payload["domains"][name]["lost_bloks"]}
-    victim_state = volumes["states"][victim]
-    relocated_to = volumes["final"][victim_domain][0]
     return {
         "victim_volume": victim,
         "clean": clean,
         "storm": storm,
-        "exposure_by_volume": exposure,
-        "victim_state": victim_state,
+        "exposure_by_volume": volumes["exposure"],
+        "victim_state": volumes["states"][victim],
         "drains_done": volumes["drains_done"],
         "stranded": volumes["stranded"],
-        "relocated_to": relocated_to,
+        "relocated_to": volumes["final"][victim_domain][0],
         "victim_bloks_lost": len(
             storm_payload["domains"][victim_domain]["lost_bloks"]),
         "bystander_retention": retention,
-        "gates": {
-            "exposure_contained": not leaked,
-            "degraded_and_drained": (victim_state != "healthy"
-                                     and volumes["drains_done"] >= 1
-                                     and not volumes["stranded"]
-                                     and relocated_to != victim),
-            "losses_contained": not lost_elsewhere,
-            "bystanders_retained": all(
-                value >= config.retention_floor
-                for value in retention.values()),
-        },
+        "gates": {gate: checks[kind]["passed"]
+                  for gate, kind in _FAILOVER_GATES.items()},
     }
 
 
@@ -307,8 +313,6 @@ def run(config):
 
 def format_result(payload, config):
     """Human-readable tables for one payload."""
-    from repro.exp import report
-
     scaling = payload["scaling"]
     rows = []
     for key, label in (("one_volume", "A: 1 volume"),
@@ -358,39 +362,10 @@ def format_result(payload, config):
     return "\n".join(lines)
 
 
-def write_payload(payload, out_dir="results"):
-    """Write ``scale.json``; returns the path."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "scale.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def main(argv=None):
     """CLI: run the legs, print the tables, write ``scale.json``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    smoke = "--smoke" in argv
-    if smoke:
-        argv.remove("--smoke")
-    out_dir = "results"
-    if "--out" in argv:
-        index = argv.index("--out")
-        out_dir = argv[index + 1]
-        del argv[index:index + 2]
-    if argv:
-        print("unknown scale argument(s): %s" % " ".join(argv))
-        return 1
-    config = smoke_config() if smoke else ScaleConfig()
-    payload = run(config)
-    print(format_result(payload, config))
-    path = write_payload(payload, out_dir=out_dir)
-    print()
-    print("wrote %s" % path)
-    if not payload["passed"] and not config.smoke:
-        return 1
-    return 0
+    return report.scenario_main("scale", argv, ScaleConfig, smoke_config,
+                                run, format_result)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 A *mission* is a TOML file (topology + workload + fault/behaviour
 plan + expected invariants) under ``missions/``; this package holds
-its schema (:mod:`repro.missions.schema`), the validating loader and
+its schema (:mod:`repro.missions.schema`), the check registry
+(:mod:`repro.missions.checks`), the validating loader and
 canonical serialiser (:mod:`repro.missions.validate`), the headless
 deterministic runner (:mod:`repro.missions.runner`) and the matrix
 generator (:mod:`repro.missions.matrix`). ``python -m repro.exp
@@ -10,7 +11,8 @@ sweep`` executes a mission corpus across parallel workers.
 """
 
 from repro.missions.runner import (MissionRunError, MissionRunner,
-                                   canonical, report_json, run_mission)
+                                   canonical, report_json, run_mission,
+                                   verdicts)
 from repro.missions.schema import (MISSION_SCHEMA_VERSION,
                                    REPORT_SCHEMA_VERSION)
 from repro.missions.validate import (MissionError, MissionValidator,
@@ -21,5 +23,5 @@ __all__ = [
     "MISSION_SCHEMA_VERSION", "REPORT_SCHEMA_VERSION", "MissionError",
     "MissionRunError", "MissionRunner", "MissionValidator", "canonical",
     "load_mission", "loads_mission", "report_json", "run_mission",
-    "serialize_mission", "validate_mission",
+    "serialize_mission", "validate_mission", "verdicts",
 ]

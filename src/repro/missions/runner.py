@@ -43,6 +43,7 @@ from repro.faults import (BehaviorPlan, BehaviorRule, CorruptPlan,
 from repro.hw.mmu import AccessKind
 from repro.hw.platform import Machine
 from repro.kernel.threads import Touch, Wait
+from repro.missions.checks import CHECKS
 from repro.missions.schema import REPORT_SCHEMA_VERSION
 from repro.mm.balancer import MemoryBalancer
 from repro.sched.atropos import QoSSpec
@@ -168,6 +169,12 @@ def report_json(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def verdicts(report):
+    """A report's verdicts keyed by check kind (for missions, like the
+    scenario wrappers', that declare each kind at most once)."""
+    return {entry["check"]: entry for entry in report["invariants"]}
+
+
 def _window(rule, now=0):
     """A mission rule's ``(start_ns, end_ns)``: ``start_sec``/``end_sec``
     (-1: forever), or for ``during='measure'`` a window opening at
@@ -253,45 +260,6 @@ _AUDIT_PLANES = {
     "behaviors": "domain",
     "crashes": "component",
 }
-
-
-def _merge_windows(windows):
-    """Overlapping/adjacent (start, end) spans merged, sorted."""
-    merged = []
-    for start, end in sorted(windows):
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    return [(start, end) for start, end in merged]
-
-
-def _interp_progress(samples, name, t):
-    """Piecewise-linear progress of ``name`` at simulated time ``t``
-    from ``[ns, {name: bytes}]`` samples (clamped to the sampled
-    range)."""
-    if not samples:
-        return 0.0
-    if t <= samples[0][0]:
-        return float(samples[0][1].get(name, 0))
-    if t >= samples[-1][0]:
-        return float(samples[-1][1].get(name, 0))
-    lo, hi = 0, len(samples) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if samples[mid][0] <= t:
-            lo = mid
-        else:
-            hi = mid
-    t0, v0 = samples[lo][0], samples[lo][1].get(name, 0)
-    t1, v1 = samples[hi][0], samples[hi][1].get(name, 0)
-    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-
-def _progress_delta(samples, name, start, end):
-    """Bytes of progress ``name`` made across one (start, end) span."""
-    return (_interp_progress(samples, name, end)
-            - _interp_progress(samples, name, start))
 
 
 # ---------------------------------------------------------------------------
@@ -948,228 +916,12 @@ class MissionRunner:
 
     def _evaluate(self, check, payloads):
         """One [[expect]] entry -> verdict dict (check + observed +
-        passed)."""
-        kind = check["check"]
-        all_runs = [run["name"] for run in self.mission["runs"]]
-        targets = check.get("runs") or all_runs
-
-        def verdict(passed, observed):
-            out = dict(check)
-            out["passed"] = bool(passed)
-            out["observed"] = observed
-            return out
-
-        if kind == "bandwidth_retention":
-            base = payloads[check["baseline"]]["mbit"]
-            cur = payloads[check["run"]]["mbit"]
-            retention = {name: (cur[name] / base[name] if base[name]
-                                else 0.0) for name in check["domains"]}
-            if check["floor"] >= 0.0:
-                passed = all(value >= check["floor"]
-                             for value in retention.values())
-            else:
-                passed = all(abs(value - 1.0) <= check["tolerance"]
-                             for value in retention.values())
-            return verdict(passed, {"retention": {
-                name: round(value, 4)
-                for name, value in retention.items()}})
-        if kind == "progress":
-            mbit = payloads[check["run"]]["mbit"]
-            observed = {name: round(mbit[name], 4)
-                        for name in check["domains"]}
-            floor = check["min_mbit"]
-            passed = all(value > 0.0 and value >= floor
-                         for value in observed.values())
-            return verdict(passed, {"mbit": observed})
-        if kind == "kill_set":
-            observed = {name: payloads[name]["kills"] for name in targets}
-            passed = all(payloads[name]["kills"] == check["exactly"]
-                         for name in targets)
-            return verdict(passed, {"kills": observed})
-        if kind == "claim_granted":
-            observed = {name: payloads[name]["claim_granted"]
-                        for name in targets}
-            passed = all(value == check["frames"]
-                         for value in observed.values())
-            return verdict(passed, {"granted": observed})
-        if kind == "min_frames":
-            observed = {name: {d: payloads[name]["min_allocated"][d]
-                               for d in check["domains"]}
-                        for name in targets}
-            passed = all(value >= check["floor"]
-                         for per_run in observed.values()
-                         for value in per_run.values())
-            return verdict(passed, {"min_allocated": observed})
-        if kind == "pages_lost":
-            domains = payloads[check["run"]]["domains"]
-            observed = {d: domains[d]["pages_lost"]
-                        for d in check["domains"]}
-            passed = all(value <= check["max"]
-                         for value in observed.values())
-            return verdict(passed, {"pages_lost": observed})
-        if kind == "scaling":
-            base = payloads[check["baseline"]]["aggregate_mbit"]
-            cur = payloads[check["run"]]["aggregate_mbit"]
-            scaling = cur / base if base else 0.0
-            return verdict(scaling >= check["min"],
-                           {"scaling": round(scaling, 2),
-                            "aggregate": {check["baseline"]: base,
-                                          check["run"]: cur}})
-        if kind == "share_error":
-            shares = payloads[check["run"]]["volume_shares"]
-            worst = max((row["relative_error"] for row in shares),
-                        default=0.0)
-            return verdict(worst <= check["max"],
-                           {"worst_share_error": worst})
-        if kind == "crosstalk_contained":
-            # The Figure-7 argument across cores: every bystander sits
-            # on a different core from the hog AND kept >= floor of its
-            # hog-free baseline bandwidth.
-            payload = payloads[check["run"]]
-            base = payloads[check["baseline"]]["mbit"]
-            cur = payload["mbit"]
-            core_of = payload.get("core_of", {})
-            hog_core = core_of.get(check["hog"])
-            separated = hog_core is not None and all(
-                core_of.get(name) is not None
-                and core_of[name] != hog_core
-                for name in check["domains"])
-            retention = {name: (cur[name] / base[name] if base[name]
-                                else 0.0) for name in check["domains"]}
-            passed = separated and all(value >= check["floor"]
-                                       for value in retention.values())
-            return verdict(passed, {
-                "hog_core": hog_core,
-                "cores": {name: core_of.get(name)
-                          for name in sorted(check["domains"])},
-                "retention": {name: round(value, 4)
-                              for name, value in retention.items()}})
-        if kind == "recovered":
-            record = payloads[check["run"]]["supervision"].get(
-                check["component"])
-            if record is None:
-                return verdict(False, {"error": "component was never "
-                                                "supervised"})
-            worst_ns = max((end - start
-                            for start, end in record["windows"]),
-                           default=0)
-            passed = (record["restarts"] >= check["min_restarts"]
-                      and record["state"] == "running"
-                      and worst_ns <= check["max_recovery_ms"] * MS)
-            return verdict(passed, {
-                "restarts": record["restarts"],
-                "state": record["state"],
-                "worst_recovery_ms": round(worst_ns / MS, 3)})
-        if kind == "restart_budget":
-            record = payloads[check["run"]]["supervision"].get(
-                check["component"])
-            if record is None:
-                return verdict(False, {"error": "component was never "
-                                                "supervised"})
-            passed = (record["restarts"] <= check["max"]
-                      and record["state"] == check["final"])
-            return verdict(passed, {
-                "restarts": record["restarts"],
-                "escalations": record["escalations"],
-                "state": record["state"]})
-        if kind == "bystander_retention_during_crash":
-            payload = payloads[check["run"]]
-            baseline = payloads[check["baseline"]]
-            supervision = payload["supervision"]
-            components = check["components"] or sorted(supervision)
-            windows = []
-            for cid in components:
-                record = supervision.get(cid)
-                if record is not None:
-                    windows.extend((start, end)
-                                   for start, end in record["windows"])
-            merged = _merge_windows(windows)
-            retention = {}
-            for name in check["domains"]:
-                crashed = sum(
-                    _progress_delta(payload["progress_samples"], name,
-                                    start, end)
-                    for start, end in merged)
-                clean = sum(
-                    _progress_delta(baseline["progress_samples"], name,
-                                    start, end)
-                    for start, end in merged)
-                # A bystander whose baseline made no progress in the
-                # windows had nothing to lose during them.
-                retention[name] = crashed / clean if clean else 1.0
-            # No recovery windows -> trivially true; the injection
-            # audit is what catches a storm that never happened.
-            passed = all(value >= check["floor"]
-                         for value in retention.values())
-            return verdict(passed, {
-                "windows": [list(window) for window in merged],
-                "retention": {name: round(value, 4)
-                              for name, value in retention.items()}})
-        if kind == "undetected_corruptions":
-            observed = {}
-            for name in targets:
-                integrity = payloads[name].get("integrity")
-                observed[name] = (integrity["undetected"]
-                                  if integrity else 0)
-            passed = all(value <= check["max"]
-                         for value in observed.values())
-            return verdict(passed, {"undetected": observed})
-        if kind == "repaired":
-            integrity = payloads[check["run"]]["integrity"]
-            detected = integrity["detected"]
-            repaired = integrity["repaired"]
-            lost = integrity["lost"]
-            passed = (detected >= check["min_detected"]
-                      and repaired >= check["min_repaired"]
-                      and detected == repaired + lost
-                      and (check["max_lost"] == -1
-                           or lost <= check["max_lost"]))
-            return verdict(passed, {"detected": detected,
-                                    "repaired": repaired, "lost": lost,
-                                    "accounted": detected
-                                    == repaired + lost})
-        if kind == "scrub_overhead":
-            base = payloads[check["baseline"]]["mbit"]
-            cur = payloads[check["run"]]["mbit"]
-            retention = {name: (cur[name] / base[name] if base[name]
-                                else 0.0) for name in check["domains"]}
-            passed = all(value >= check["floor"]
-                         for value in retention.values())
-            return verdict(passed, {"retention": {
-                name: round(value, 4)
-                for name, value in retention.items()}})
-        # The USBS containment family: all need the run's storm volume.
-        payload = payloads[check["run"]]
-        volumes = payload["volumes"]
-        scope = "volume_of:%s" % check["victim_of"]
-        storm_volume = volumes.get("fault_volumes", {}).get(scope)
-        if kind == "exposure_contained":
-            exposure = volumes["exposure"]
-            leaked = {name: count for name, count in exposure.items()
-                      if name != storm_volume and count}
-            return verdict(storm_volume is not None and not leaked,
-                           {"storm_volume": storm_volume,
-                            "exposure": exposure})
-        if kind == "drained":
-            final = volumes["final"].get(check["victim_of"], [])
-            passed = (storm_volume is not None
-                      and volumes["drains_done"] >= check["min_drains"]
-                      and not volumes["stranded"]
-                      and volumes["states"].get(storm_volume) != "healthy"
-                      and bool(final) and storm_volume not in final)
-            return verdict(passed, {
-                "storm_volume": storm_volume,
-                "state": volumes["states"].get(storm_volume),
-                "drains_done": volumes["drains_done"],
-                "stranded": volumes["stranded"],
-                "relocated_to": final})
-        if kind == "losses_contained":
-            observed = {name: len(data["lost_bloks"])
-                        for name, data in payload["domains"].items()
-                        if name != check["victim_of"]
-                        and data["lost_bloks"]}
-            return verdict(not observed, {"lost_elsewhere": observed})
-        raise AssertionError("unknown check %r" % kind)   # pragma: no cover
+        passed), judged by its kind's :data:`CHECKS` evaluator."""
+        targets = check.get("runs") or [run["name"]
+                                         for run in self.mission["runs"]]
+        passed, observed = CHECKS[check["check"]].evaluate(check, payloads,
+                                                           targets)
+        return dict(check, passed=bool(passed), observed=observed)
 
     # -- audit ----------------------------------------------------------------
 

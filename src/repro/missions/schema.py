@@ -3,10 +3,12 @@
 A *mission* is plain data — topology + workload + fault/behaviour plan
 + expected invariants — stored as a TOML file under ``missions/`` (or
 built as a dict by the thin scenario wrappers in :mod:`repro.exp`).
-This module is the single source of truth for what a mission may say:
-the validator (:mod:`repro.missions.validate`) walks these specs to
-normalise raw input, the serialiser emits them back to TOML, and the
-property tests generate random missions from them.
+This module is the single source of truth for what a mission may say
+(the ``[[expect]]`` check kinds are declared with their validation
+and evaluation in :mod:`repro.missions.checks`): the validator
+(:mod:`repro.missions.validate`) walks these specs to normalise raw
+input, the serialiser emits them back to TOML, and the property tests
+generate random missions from them.
 
 Design rules:
 
@@ -336,136 +338,6 @@ BEHAVIOR_FIELDS = (
     _f("thrash_factor", "int", default=8, min=1),
     _f("must_fire", "bool", default=True),
 )
-
-# -- expected invariants -----------------------------------------------------
-
-#: ``[[expect]]`` — per-check field sets (all share ``check``). Checks
-#: referencing ``run``/``baseline`` name runs; ``runs=[]`` means every
-#: run. Exactly one of ``floor``/``tolerance`` must be set on
-#: ``bandwidth_retention`` (the other left at the ``-1`` sentinel).
-EXPECT_KINDS = {
-    "bandwidth_retention": (
-        _f("run", "str"),
-        _f("baseline", "str"),
-        _f("domains", "str_list"),
-        _f("floor", "float", default=-1.0, min=-1.0, max=10.0),
-        _f("tolerance", "float", default=-1.0, min=-1.0, max=10.0),
-    ),
-    "progress": (
-        _f("run", "str"),
-        _f("domains", "str_list"),
-        _f("min_mbit", "float", default=0.0, min=0.0),
-    ),
-    "kill_set": (
-        _f("runs", "str_list", default=()),
-        _f("exactly", "int_table", default=()),
-    ),
-    "claim_granted": (
-        _f("runs", "str_list", default=()),
-        _f("frames", "int", min=1),
-    ),
-    "min_frames": (
-        _f("runs", "str_list", default=()),
-        _f("domains", "str_list"),
-        _f("floor", "int", min=0),
-    ),
-    "pages_lost": (
-        _f("run", "str"),
-        _f("domains", "str_list"),
-        _f("max", "int", default=0, min=0),
-    ),
-    "scaling": (
-        _f("run", "str"),
-        _f("baseline", "str"),
-        _f("min", "float", min=0.0),
-    ),
-    "share_error": (
-        _f("run", "str"),
-        _f("max", "float", min=0.0),
-    ),
-    "exposure_contained": (
-        _f("run", "str"),
-        _f("victim_of", "str"),
-    ),
-    "drained": (
-        _f("run", "str"),
-        _f("victim_of", "str"),
-        _f("min_drains", "int", default=1, min=1),
-    ),
-    "losses_contained": (
-        _f("run", "str"),
-        _f("victim_of", "str"),
-    ),
-    # The supervision family (all require ``supervision.enabled``):
-    # ``recovered`` — the component crashed and every recovery
-    # completed within ``max_recovery_ms``, ending back in service;
-    # ``restart_budget`` — the component's restarts stayed within
-    # ``max`` and it ended in ``final`` state (the escalation ladder's
-    # verdict); ``bystander_retention_during_crash`` — over the
-    # recovery windows of ``components`` (empty: all), each bystander
-    # in ``domains`` retained at least ``floor`` of its baseline-run
-    # bandwidth across the same windows.
-    "recovered": (
-        _f("run", "str"),
-        _f("component", "str"),
-        _f("max_recovery_ms", "int", min=1),
-        _f("min_restarts", "int", default=1, min=1),
-    ),
-    "restart_budget": (
-        _f("run", "str"),
-        _f("component", "str"),
-        _f("max", "int", min=0),
-        _f("final", "str", default="running",
-           choices=("running", "degraded", "retired")),
-    ),
-    "bystander_retention_during_crash": (
-        _f("run", "str"),
-        _f("baseline", "str"),
-        _f("domains", "str_list"),
-        _f("components", "str_list", default=()),
-        _f("floor", "float", min=0.0, max=10.0),
-    ),
-    # The integrity family: ``undetected_corruptions`` — at most
-    # ``max`` injected corruptions were delivered unverified across the
-    # named runs (all, if empty); ``repaired`` — the run detected at
-    # least ``min_detected`` corruptions, repaired at least
-    # ``min_repaired`` and declared at most
-    # ``max_lost`` lost (``-1``: any), with every detection accounted
-    # repaired-or-lost; ``scrub_overhead`` — each named domain in the
-    # scrubbed/corrupted run kept at least ``floor`` of its bandwidth
-    # in the clean ``baseline`` run (scrub I/O charged to the owner,
-    # never to bystanders).
-    "undetected_corruptions": (
-        _f("runs", "str_list", default=()),
-        _f("max", "int", default=0, min=0),
-    ),
-    "repaired": (
-        _f("run", "str"),
-        _f("min_detected", "int", default=1, min=0),
-        _f("min_repaired", "int", default=0, min=0),
-        _f("max_lost", "int", default=-1, min=-1),
-    ),
-    "scrub_overhead": (
-        _f("run", "str"),
-        _f("baseline", "str"),
-        _f("domains", "str_list"),
-        _f("floor", "float", min=0.0, max=10.0),
-    ),
-    # The SMP family: ``crosstalk_contained`` — in ``run`` (an SMP run,
-    # ``topology.cpus >= 2``), each bystander in ``domains`` was placed
-    # on a different core from ``hog`` (the report's ``core_of``) AND
-    # retained at least ``floor`` of its bandwidth in ``baseline``
-    # (typically the same topology with the hog's compute loop idle via
-    # ``active_runs``) — the paper's Figure-7 argument applied across
-    # cores.
-    "crosstalk_contained": (
-        _f("run", "str"),
-        _f("baseline", "str"),
-        _f("hog", "str"),
-        _f("domains", "str_list"),
-        _f("floor", "float", default=0.95, min=0.0, max=10.0),
-    ),
-}
 
 #: Top-level sections in canonical serialisation order.
 SECTION_ORDER = ("mission", "topology", "workload", "drivers",

@@ -15,14 +15,27 @@ back to the same dict (the property tests prove both round trips).
 
 import math
 import tomllib
+from types import SimpleNamespace
 
 from repro.missions import schema
+from repro.missions.checks import CHECKS, NEEDS
 from repro.missions.schema import (DOMAIN_KINDS, DRIVER_KINDS,
-                                   EXPECT_KINDS, MISSION_SCHEMA_VERSION)
+                                   MISSION_SCHEMA_VERSION)
 
-#: Domain kinds that produce a bandwidth series (and so can appear in
-#: retention/progress invariants).
-_MEASURED_KINDS = ("fsclient", "pager", "compute")
+#: Each check kind's field specs, as :func:`_kinded_entry` reads them.
+_CHECK_FIELDS = {kind: check.fields for kind, check in CHECKS.items()}
+
+#: Check fields that always name runs (``runs``: a list of them), in
+#: the order every kind declares them.
+_RUN_REFS = ("run", "baseline", "runs")
+
+#: Each scenario driver's domain references: kind -> ((field, allowed
+#: domain kinds), ...).
+_DRIVER_REFS = {
+    "claim": (("client", ("claimant",)),),
+    "waves": (("donors", ("pager",)), ("claimant", ("claimant",))),
+    "sample_min_alloc": (("domains", ("pager",)),),
+}
 
 #: The two disk-rule planes of a run: key -> (field tuple, the kinds
 #: that may list explicit ``blocks``; None: every kind). A loud fault's
@@ -142,9 +155,10 @@ def _section(raw, fields, path, partial=False):
     return out
 
 
-def _kinded_entry(raw, kinds, key, path):
+def _kinded_entry(raw, kinds, key, path, named=False):
     """Validate one array-of-tables entry that is discriminated by a
-    ``kind``-like field (``key``) plus, for domains, a ``name``."""
+    ``kind``-like field (``key``) plus, with ``named`` (domains), a
+    ``name``; any other entry's ``name`` is an unknown field."""
     if not isinstance(raw, dict):
         raise MissionError(path, "expected a table, got %r" % (raw,))
     discriminator = raw.get(key)
@@ -153,9 +167,10 @@ def _kinded_entry(raw, kinds, key, path):
                            "must be one of %s, got %r"
                            % (sorted(kinds), discriminator))
     fields = kinds[discriminator]
-    body = {k: v for k, v in raw.items() if k not in (key, "name")}
+    body = {k: v for k, v in raw.items()
+            if k != key and not (named and k == "name")}
     out = _section(body, fields, path)
-    if "name" in raw:
+    if named:
         name = raw["name"]
         if not isinstance(name, str) or not name or len(name) > 64 \
                 or any(c in name for c in "\n\r\t"):
@@ -167,6 +182,23 @@ def _kinded_entry(raw, kinds, key, path):
         normalised = {key: discriminator}
     normalised.update(out)
     return normalised
+
+
+def _domain_refs(path, field, value, kinds, by_name):
+    """Resolve a field naming workload domains — one name, or a list
+    that must name at least one — against ``by_name``; each domain's
+    kind must be in ``kinds``."""
+    names = [value] if isinstance(value, str) else value
+    if not names:
+        # List fields are plural nouns: "domains" -> "domain".
+        raise MissionError(path, "expected at least one %s" % field[:-1])
+    for name in names:
+        if name not in by_name:
+            raise MissionError(path, "names no workload domain: %r"
+                               % (name,))
+        if by_name[name]["kind"] not in kinds:
+            raise MissionError(path, "%r must be a %s domain"
+                               % (name, "/".join(kinds)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +311,8 @@ class MissionValidator:
                 # other kind gets the natural unknown-field error.
                 entry = dict(entry)
                 stretches = entry.pop("stretches")
-            domain = _kinded_entry(entry, DOMAIN_KINDS, "kind", path)
+            domain = _kinded_entry(entry, DOMAIN_KINDS, "kind", path,
+                                   named=True)
             if domain["name"] in seen:
                 raise MissionError("%s.name" % path,
                                    "duplicate domain name %r"
@@ -340,35 +373,13 @@ class MissionValidator:
         if not isinstance(raw, list):
             raise MissionError("drivers", "expected an array of tables")
         by_name = {d["name"]: d for d in domains}
-
-        def _ref(path, name, kinds):
-            if name not in by_name:
-                raise MissionError(path, "names no workload domain: %r"
-                                   % (name,))
-            if by_name[name]["kind"] not in kinds:
-                raise MissionError(path, "%r must be a %s domain"
-                                   % (name, "/".join(kinds)))
-
         drivers = []
         for index, entry in enumerate(raw):
             path = "drivers[%d]" % index
             driver = _kinded_entry(entry, DRIVER_KINDS, "kind", path)
-            if driver["kind"] == "claim":
-                _ref("%s.client" % path, driver["client"], ("claimant",))
-            elif driver["kind"] == "waves":
-                if not driver["donors"]:
-                    raise MissionError("%s.donors" % path,
-                                       "expected at least one donor")
-                for donor in driver["donors"]:
-                    _ref("%s.donors" % path, donor, ("pager",))
-                _ref("%s.claimant" % path, driver["claimant"],
-                     ("claimant",))
-            else:  # sample_min_alloc
-                if not driver["domains"]:
-                    raise MissionError("%s.domains" % path,
-                                       "expected at least one domain")
-                for name in driver["domains"]:
-                    _ref("%s.domains" % path, name, ("pager",))
+            for field, kinds in _DRIVER_REFS[driver["kind"]]:
+                _domain_refs("%s.%s" % (path, field), field, driver[field],
+                             kinds, by_name)
             drivers.append(driver)
         return drivers
 
@@ -546,6 +557,10 @@ class MissionValidator:
 
     def _component_ref(self, path, component, pagers, topology):
         """One supervised-component reference (crash rules, expects)."""
+        if component == "usd" and topology["backing"] == "fcfs":
+            raise MissionError(path, "'usd' needs topology.backing = "
+                                     "'usd' (an fcfs run supervises no "
+                                     "USD)")
         if component in ("", "usd"):
             return
         if component == "balancer":
@@ -601,162 +616,57 @@ class MissionValidator:
         return rules
 
     def _expect(self, raw, domains, drivers, runs, supervision, integrity):
+        """The ``[[expect]]`` list, each entry checked against its
+        :data:`~repro.missions.checks.CHECKS` declaration."""
         if raw is None:
             return []
         if not isinstance(raw, list):
             raise MissionError("expect", "expected an array of tables")
-        by_name = {d["name"]: d for d in domains}
         pagers = {d["name"] for d in domains if d["kind"] == "pager"}
-        run_names = [run["name"] for run in runs]
         runs_by_name = {run["name"]: run for run in runs}
-        has_claim = any(d["kind"] == "claim" for d in drivers)
-        sampled = set()
-        for driver in drivers:
-            if driver["kind"] == "sample_min_alloc":
-                sampled.update(driver["domains"])
+        ctx = SimpleNamespace(domains={d["name"]: d for d in domains},
+                              runs=runs_by_name, drivers=drivers,
+                              supervision=supervision, integrity=integrity)
         checks = []
         for index, entry in enumerate(raw):
             path = "expect[%d]" % index
-            check = _kinded_entry(entry, EXPECT_KINDS, "check", path)
-
-            def _run_ref(field_name, value):
-                if value not in runs_by_name:
-                    raise MissionError("%s.%s" % (path, field_name),
-                                       "names no run (runs: %s)"
-                                       % ", ".join(run_names))
-                return runs_by_name[value]
-
-            def _domain_refs(field_name, names, kinds):
-                if not names:
-                    raise MissionError("%s.%s" % (path, field_name),
-                                       "expected at least one domain")
-                for ref in names:
-                    if ref not in by_name:
-                        raise MissionError("%s.%s" % (path, field_name),
-                                           "names no workload domain: %r"
-                                           % (ref,))
-                    if by_name[ref]["kind"] not in kinds:
-                        raise MissionError("%s.%s" % (path, field_name),
-                                           "%r must be a %s domain"
-                                           % (ref, "/".join(kinds)))
-
+            check = _kinded_entry(entry, _CHECK_FIELDS, "check", path)
             kind = check["check"]
-            if kind == "bandwidth_retention":
-                _run_ref("run", check["run"])
-                _run_ref("baseline", check["baseline"])
-                _domain_refs("domains", check["domains"], _MEASURED_KINDS)
-                set_floor = check["floor"] >= 0.0
-                set_tol = check["tolerance"] >= 0.0
-                if set_floor == set_tol:
-                    raise MissionError("%s.floor" % path,
-                                       "set exactly one of floor/tolerance")
-            elif kind == "progress":
-                _run_ref("run", check["run"])
-                _domain_refs("domains", check["domains"], _MEASURED_KINDS)
-            elif kind in ("kill_set", "claim_granted", "min_frames"):
-                for ref in check["runs"]:
-                    _run_ref("runs", ref)
-                if kind == "claim_granted" and not has_claim:
+            spec = CHECKS[kind]
+            if spec.needs:
+                enabled, what = NEEDS[spec.needs]
+                if not enabled(ctx):
                     raise MissionError("%s.check" % path,
-                                       "claim_granted needs a claim driver")
-                if kind == "min_frames":
-                    _domain_refs("domains", check["domains"], ("pager",))
-                    missing = [d for d in check["domains"]
-                               if d not in sampled]
-                    if missing:
-                        raise MissionError(
-                            "%s.domains" % path,
-                            "%s not covered by a sample_min_alloc driver"
-                            % ", ".join(missing))
-                if kind == "kill_set":
-                    for ref in check["exactly"]:
-                        if ref not in by_name:
-                            raise MissionError("%s.exactly" % path,
-                                               "names no workload domain: "
-                                               "%r" % (ref,))
-            elif kind == "pages_lost":
-                _run_ref("run", check["run"])
-                _domain_refs("domains", check["domains"], ("pager",))
-            elif kind == "scaling":
-                _run_ref("run", check["run"])
-                _run_ref("baseline", check["baseline"])
-            elif kind == "share_error":
-                run = _run_ref("run", check["run"])
-                if run["topology"]["volumes"] < 1:
-                    raise MissionError("%s.run" % path,
-                                       "share_error needs a run with "
-                                       "volumes >= 1")
-            elif kind in ("recovered", "restart_budget"):
-                if not supervision["enabled"]:
-                    raise MissionError("%s.check" % path,
-                                       "%s needs supervision.enabled = "
-                                       "true" % kind)
-                run = _run_ref("run", check["run"])
-                if not check["component"]:
-                    raise MissionError("%s.component" % path,
+                                       "%s needs %s" % (kind, what))
+            for field in _RUN_REFS:
+                value = check.get(field, ())
+                for ref in [value] if isinstance(value, str) else value:
+                    if ref not in runs_by_name:
+                        raise MissionError("%s.%s" % (path, field),
+                                           "names no run (runs: %s)"
+                                           % ", ".join(runs_by_name))
+            for field, kinds in spec.domains:
+                _domain_refs("%s.%s" % (path, field), field, check[field],
+                             kinds, ctx.domains)
+            for field in spec.components:
+                value = check[field]
+                if value == "":
+                    raise MissionError("%s.%s" % (path, field),
                                        "must name one component "
                                        "(no wildcard)")
-                self._component_ref("%s.component" % path,
-                                    check["component"], pagers,
-                                    run["topology"])
-            elif kind == "bystander_retention_during_crash":
-                if not supervision["enabled"]:
-                    raise MissionError("%s.check" % path,
-                                       "%s needs supervision.enabled = "
-                                       "true" % kind)
-                run = _run_ref("run", check["run"])
-                _run_ref("baseline", check["baseline"])
-                _domain_refs("domains", check["domains"], _MEASURED_KINDS)
-                for ref in check["components"]:
-                    self._component_ref("%s.components" % path, ref,
-                                        pagers, run["topology"])
-            elif kind == "undetected_corruptions":
-                for ref in check["runs"]:
-                    _run_ref("runs", ref)
-            elif kind == "repaired":
-                if not integrity["enabled"]:
-                    raise MissionError("%s.check" % path,
-                                       "repaired needs integrity.enabled = "
-                                       "true (nothing would detect)")
-                run = _run_ref("run", check["run"])
-                if not run["corruptions"]:
+                for ref in [value] if isinstance(value, str) else value:
+                    self._component_ref(
+                        "%s.%s" % (path, field), ref, pagers,
+                        runs_by_name[check["run"]]["topology"])
+            problem = spec.rule(check, ctx) if spec.rule else None
+            if problem:
+                raise MissionError("%s.%s" % (path, problem[0]), problem[1])
+            if spec.topology:
+                key, least = spec.topology
+                if runs_by_name[check["run"]]["topology"][key] < least:
                     raise MissionError("%s.run" % path,
-                                       "repaired needs a run with "
-                                       "corruption rules")
-            elif kind == "crosstalk_contained":
-                run = _run_ref("run", check["run"])
-                _run_ref("baseline", check["baseline"])
-                _domain_refs("hog", [check["hog"]], ("compute",))
-                _domain_refs("domains", check["domains"], _MEASURED_KINDS)
-                if check["hog"] in check["domains"]:
-                    raise MissionError("%s.domains" % path,
-                                       "the hog cannot be its own "
-                                       "bystander")
-                if run["topology"]["cpus"] < 2:
-                    raise MissionError("%s.run" % path,
-                                       "crosstalk_contained needs a run "
-                                       "with cpus >= 2")
-            elif kind == "scrub_overhead":
-                if not (integrity["enabled"] and integrity["scrub"]):
-                    raise MissionError("%s.check" % path,
-                                       "scrub_overhead needs "
-                                       "integrity.enabled and "
-                                       "integrity.scrub")
-                _run_ref("run", check["run"])
-                _run_ref("baseline", check["baseline"])
-                _domain_refs("domains", check["domains"], _MEASURED_KINDS)
-            else:  # exposure_contained / drained / losses_contained
-                run = _run_ref("run", check["run"])
-                _domain_refs("victim_of", [check["victim_of"]], ("pager",))
-                if by_name[check["victim_of"]]["store"] != "usbs":
-                    raise MissionError("%s.victim_of" % path,
-                                       "%r must page through store='usbs'"
-                                       % check["victim_of"])
-                need = 2 if kind == "drained" else 1
-                if run["topology"]["volumes"] < need:
-                    raise MissionError("%s.run" % path,
-                                       "%s needs a run with volumes >= %d"
-                                       % (kind, need))
+                                       "%s needs a run with %s >= %d"
+                                       % (kind, key, least))
             checks.append(check)
         return checks
 

@@ -1,5 +1,8 @@
 """Tests for the report rendering helpers and experiment scaffolding."""
 
+import json
+from dataclasses import dataclass
+
 import pytest
 
 from repro.exp import report
@@ -127,3 +130,42 @@ class TestCsvExport:
         assert rows[0] == ["run", "client", "mbit_per_s"]
         assert any(row[0] == "solo" for row in rows[1:])
         assert any(row[0] == "contended" for row in rows[1:])
+
+
+@dataclass(frozen=True)
+class _FakeConfig:
+    smoke: bool = False
+
+
+class TestScenarioMain:
+    """The shared ``scale``/``smp``/``regimes`` CLI, with a fake run."""
+
+    @staticmethod
+    def _main(argv, passed=True):
+        def run(config):
+            return {"passed": passed, "smoke": config.smoke}
+
+        return report.scenario_main(
+            "fake", argv, _FakeConfig, lambda: _FakeConfig(smoke=True),
+            run, lambda payload, config: "fake table")
+
+    def test_unknown_argument_exits_1(self, tmp_path, capsys):
+        assert self._main(["--bogus", "--out", str(tmp_path)]) == 1
+        assert "unknown fake argument(s): --bogus" in capsys.readouterr().out
+        assert not (tmp_path / "fake.json").exists()
+
+    def test_out_writes_named_json(self, tmp_path, capsys):
+        assert self._main(["--out", str(tmp_path)]) == 0
+        path = tmp_path / "fake.json"
+        text = path.read_text()
+        assert text == json.dumps({"passed": True, "smoke": False},
+                                  indent=2, sort_keys=True) + "\n"
+        out = capsys.readouterr().out
+        assert out.startswith("fake table\n")
+        assert "wrote %s" % path in out
+
+    def test_failed_gate_exits_1_only_outside_smoke(self, tmp_path):
+        assert self._main(["--out", str(tmp_path)], passed=False) == 1
+        assert self._main(["--smoke", "--out", str(tmp_path)],
+                          passed=False) == 0
+        assert json.loads((tmp_path / "fake.json").read_text())["smoke"]

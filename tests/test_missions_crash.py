@@ -114,6 +114,24 @@ class TestValidation:
                                 "final": "zombie"}
         self._expect_error(mission, "zombie")
 
+    def test_usd_component_rejected_on_fcfs_backing(self):
+        """An fcfs run supervises no USD, so neither a crash rule nor
+        a check may name it (the rule could never fire, the check
+        never pass)."""
+        mission = raw_crash_mission()
+        mission["topology"]["backing"] = "fcfs"
+        mission["runs"][1]["crashes"][0]["component"] = "usd"
+        with pytest.raises(MissionError) as exc:
+            validate_mission(mission)
+        assert exc.value.path == "runs[1].crashes[0].component"
+        mission = raw_crash_mission()
+        mission["topology"]["backing"] = "fcfs"
+        mission["expect"][0]["component"] = "usd"
+        with pytest.raises(MissionError) as exc:
+            validate_mission(mission)
+        assert exc.value.path == "expect[0].component"
+        assert "fcfs" in exc.value.message
+
     def test_valid_crash_mission_round_trips(self):
         from repro.missions import serialize_mission
         import tomllib

@@ -156,6 +156,11 @@ _CORRUPTIONS = [
          {"name": "bad", "topology": d["topology"],
           "faults": [{"kind": "transient", "rate": 0.5,
                       "scope": "extent:nosuch"}]})),
+    ("named-expect",
+     lambda d: d["expect"].append(
+         {"check": "progress", "run": d["runs"][0]["name"],
+          "domains": [d["workload"]["domains"][0]["name"]],
+          "name": "undeclared"})),
 ]
 
 

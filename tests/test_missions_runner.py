@@ -108,6 +108,26 @@ class TestDeterminism:
             json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
+class TestFcfsBacking:
+    def test_fcfs_mission_runs_to_canonical_report(self):
+        """``backing = "fcfs"`` runs pagers on the unscheduled baseline
+        disk; the report carries the same recovery counters (zero:
+        FCFS never retries) and is as deterministic as any other."""
+        mission = tiny_mission(name="tiny-fcfs")
+        mission["topology"]["backing"] = "fcfs"
+        for run in mission["runs"]:
+            run["topology"]["backing"] = "fcfs"
+        mission = validate_mission(mission)
+        first = report_json(run_mission(mission))
+        assert first == report_json(run_mission(mission))
+        report = json.loads(first)
+        assert report["reproducible"] is True
+        for payload in report["runs"].values():
+            for domain in payload["domains"].values():
+                assert domain["usd_retries"] == 0
+                assert domain["usd_failures"] == 0
+
+
 class TestReadmeExample:
     def test_readme_walkthrough_mission_passes(self):
         """The "Writing a mission" TOML in the README is a real,
