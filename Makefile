@@ -61,8 +61,9 @@ perfbench-check:
 
 # Interleaved same-host A/B of this tree against a git ref (checked out
 # into a temporary local worktree): per-pair ops_per_s and cpu_s, both
-# medians and the win count; fails if either side's output check fails
-# or the two sides' events_per_op differ.
+# sides' medians of those and of setup_s and peak_rss_mb, and the win
+# count; fails if either side's output check fails or the two sides
+# differ on events_per_op, sim_mbit or ratio_err.
 REF ?= HEAD
 WORKLOAD ?= inmem_loop
 PAIRS ?= 5

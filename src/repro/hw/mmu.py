@@ -87,8 +87,8 @@ class MMU:
         # contiguous extents consulted before the TLB/PT walk. None (the
         # default) keeps the classic per-page path untouched.
         self.seg = None
-        # machine.page_shift is a computed property; cache it so the
-        # per-access VPN extraction is a single shift.
+        # Held on the MMU so the per-access VPN extraction is one
+        # attribute load and a shift.
         self._page_shift = machine.page_shift
 
     def _lookup(self, vpn):

@@ -8,6 +8,7 @@ paper's experiments.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Tuple
 
 KB = 1024
@@ -54,9 +55,9 @@ class Machine:
         if self.cpus < 1:
             raise ValueError("cpus must be at least 1")
 
-    @property
+    @cached_property
     def page_shift(self):
-        """log2(page_size)."""
+        """log2(page_size), computed once: every ``page_of`` reads it."""
         return self.page_size.bit_length() - 1
 
     @property

@@ -29,7 +29,7 @@ from functools import partial
 from repro.obs.metrics import NULL_REGISTRY
 from repro.place import PlacementError, PlacementPolicy
 from repro.sched.atropos import ClientDepartedError, QoSSpec
-from repro.sim.core import SimEvent, Timeout
+from repro.sim.core import _PENDING, SimEvent, Timeout
 from repro.sim.units import MS, US
 
 
@@ -157,20 +157,24 @@ class FifoCpu:
     def _consume(self, account, ns, label):
         done = SimEvent(self.sim, "cpu.burst")
         self._queue.append((ns, done))
-        if not self._wake.triggered:
+        if self._wake._value is _PENDING:
             self._wake.trigger(None)
         return done
 
     def _loop(self):
+        # Events are built directly, not through sim.event/sim.timeout:
+        # this loop runs once per burst on every FIFO-CPU workload.
+        sim = self.sim
+        queue = self._queue
         while True:
-            if not self._queue:
-                if self._wake.triggered:
-                    self._wake = self.sim.event("cpu.wake")
+            if not queue:
+                if self._wake._value is not _PENDING:
+                    self._wake = SimEvent(sim, "cpu.wake")
                 yield self._wake
                 continue
-            ns, done = self._queue.popleft()
+            ns, done = queue.popleft()
             if ns:
-                yield self.sim.timeout(ns)
+                yield Timeout(sim, ns)
             done.trigger(None)
 
 

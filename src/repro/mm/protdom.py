@@ -10,7 +10,7 @@ Reads (``rights_for``) are free — hardware consults cached rights on
 every access. Updates charge the cost model.
 """
 
-from repro.mm.rights import Rights
+from repro.mm.rights import _NONE, Rights
 
 
 class ProtectionDomain:
@@ -28,7 +28,7 @@ class ProtectionDomain:
 
     def rights_for(self, sid) -> Rights:
         """Rights this domain holds on stretch ``sid`` (none by default)."""
-        return self._rights.get(sid, Rights.none())
+        return self._rights.get(sid, _NONE)
 
     def set_rights(self, sid, rights, hot=False):
         """Install rights for a stretch.
@@ -39,7 +39,7 @@ class ProtectionDomain:
         protection scheme detects idempotent changes", making a repeated
         identical (un)protect cost only ~0.15 us.
         """
-        current = self._rights.get(sid, Rights.none())
+        current = self._rights.get(sid, _NONE)
         if current == rights:
             self.meter.charge("stretch_validate")
             return False

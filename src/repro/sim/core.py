@@ -1,6 +1,7 @@
 """The discrete-event simulator core.
 
-A :class:`Simulator` owns an event heap keyed by ``(time, sequence)``.
+A :class:`Simulator` owns an event heap keyed by ``(time, sequence)``,
+plus a FIFO ready queue for entries due at the current time.
 Work is expressed as *processes*: Python generators that ``yield``
 :class:`SimEvent` instances to wait for them. The idiom is::
 
@@ -21,6 +22,8 @@ revocation protocol), failure propagation, and AllOf/AnyOf combinators.
 """
 
 import heapq
+from bisect import bisect_left
+from collections import deque
 from heapq import heappush
 
 from repro.obs.metrics import NULL_INSTRUMENT, NULL_REGISTRY
@@ -28,11 +31,12 @@ from repro.sim.units import fmt_time
 
 _PENDING = object()
 
-#: Sentinel marking a heap entry whose callable takes no argument. Heap
-#: entries are ``(time, seq, fn, arg)`` tuples; scheduling with an
-#: explicit ``arg`` lets event callbacks run as ``fn(event)`` without
-#: allocating a closure per waiter (the dominant allocation in the
-#: pre-optimisation profile — see docs/PERFORMANCE.md).
+#: Sentinel marking a queued entry whose callable takes no argument.
+#: Heap and ready-queue entries are ``(time, seq, fn, arg)`` tuples;
+#: scheduling with an explicit ``arg`` lets event callbacks run as
+#: ``fn(event)`` without allocating a closure per waiter (the dominant
+#: allocation in the pre-optimisation profile — see
+#: docs/PERFORMANCE.md).
 _NO_ARG = object()
 
 
@@ -125,16 +129,16 @@ class SimEvent:
 
     def _flush(self):
         # The one fan-out routine: each waiter goes straight onto the
-        # heap at the current time with the next sequence number, the
-        # same entry ``_schedule(0, fn, self)`` would push.
+        # ready queue at the current time with the next sequence number,
+        # the same entry ``_schedule(0, fn, self)`` would append.
         callbacks, self._callbacks = self._callbacks, []
         sim = self.sim
-        heap = sim._heap
+        append = sim._ready.append
         now = sim._now
         seq = sim._seq
         for fn in callbacks:
             seq += 1
-            heappush(heap, (now, seq, fn, self))
+            append((now, seq, fn, self))
         sim._seq = seq
 
     def __repr__(self):
@@ -171,7 +175,11 @@ class Timeout(SimEvent):
         self.cancelled = False
         self._fire_value = value
         sim._seq += 1
-        heappush(sim._heap, (sim._now + delay, sim._seq, Timeout._fire, self))
+        if delay:
+            heappush(sim._heap,
+                     (sim._now + delay, sim._seq, Timeout._fire, self))
+        else:
+            sim._ready.append((sim._now, sim._seq, Timeout._fire, self))
 
     def _fire(self):
         if not self.cancelled and self._value is _PENDING:
@@ -301,7 +309,16 @@ class Process(SimEvent):
         self._waiting_on = None
         sim = self.sim
         if sim._obs_live:
-            sim._h_wake.observe(sim._now - self._wait_since)
+            # ``sim_process_wait_ns.observe`` written out; most waits are
+            # zero and land in the precomputed bucket without a bisect.
+            wait = sim._now - self._wait_since
+            cell = sim._h_wake
+            cell.count += 1
+            if wait:
+                cell.sum += wait
+                cell.counts[bisect_left(cell.bounds, wait)] += 1
+            else:
+                cell.counts[sim._wake_zero_bucket] += 1
         if event._is_error:
             self._resume(None, event._value)
             return
@@ -317,7 +334,9 @@ class Process(SimEvent):
         if target._value is _PENDING:
             target._callbacks.append(self._on_event_cb)
         else:
-            target.sim._schedule(0, self._on_event_cb, target)
+            sim = target.sim
+            sim._seq += 1
+            sim._ready.append((sim._now, sim._seq, self._on_event_cb, target))
 
     def _resume(self, value, exception):
         if not self.alive:
@@ -337,11 +356,16 @@ class Process(SimEvent):
         if target._value is _PENDING:
             target._callbacks.append(self._on_event_cb)
         else:
-            target.sim._schedule(0, self._on_event_cb, target)
+            sim = target.sim
+            sim._seq += 1
+            sim._ready.append((sim._now, sim._seq, self._on_event_cb, target))
 
     def _exit(self, exc):
         """The generator finished, died of an interrupt or raised."""
         self.alive = False
+        # A process that interrupted itself dies still armed on the
+        # event it yielded; that event's wake must find it stale.
+        self._waiting_on = None
         if isinstance(exc, StopIteration):
             self.trigger(exc.value)
         elif isinstance(exc, Interrupt):
@@ -365,18 +389,29 @@ class Process(SimEvent):
 
 
 class Simulator:
-    """Owns the clock and the event heap, and runs processes.
+    """Owns the clock, the event heap and the ready queue, and runs
+    processes.
 
     Ties in time are broken by insertion order, making runs deterministic
-    given deterministic process code.
+    given deterministic process code. Entries with a positive delay go on
+    the heap; zero-delay entries (event fan-out, process starts and
+    re-arms, ``Timeout(0)``) are appended to a FIFO ready queue instead,
+    and cost no heap push or pop. The run loops dispatch heap entries due
+    at the current time before ready ones. Such a heap entry was pushed
+    at an earlier time, so its sequence number is lower than that of
+    every ready entry, and dispatch stays in strict ``(time, seq)`` order:
+    exactly the order a single heap would give.
     """
 
     def __init__(self, metrics=None):
         self._now = 0
         self._heap = []
+        #: Zero-delay entries, all due at ``_now``: time cannot advance
+        #: while the queue holds any.
+        self._ready = deque()
         self._seq = 0
         self._process_count = 0
-        #: Total heap entries executed, maintained as a plain int so the
+        #: Total entries executed from both queues, a plain int so the
         #: run loop never pays a metric call per event; flushed into the
         #: ``sim_events_dispatched_total`` counter after each run.
         self.events_dispatched = 0
@@ -396,6 +431,8 @@ class Simulator:
         # shared null object, so the hot loops skip observability work
         # entirely instead of making no-op calls.
         self._obs_live = self._c_dispatched is not NULL_INSTRUMENT
+        self._wake_zero_bucket = (bisect_left(self._h_wake.bounds, 0)
+                                  if self._obs_live else 0)
 
     @property
     def now(self):
@@ -406,7 +443,10 @@ class Simulator:
         if delay < 0:
             raise ValueError("cannot schedule into the past (delay=%r)" % delay)
         self._seq += 1
-        heappush(self._heap, (self._now + delay, self._seq, fn, arg))
+        if delay:
+            heappush(self._heap, (self._now + delay, self._seq, fn, arg))
+        else:
+            self._ready.append((self._now, self._seq, fn, arg))
 
     def _flush_dispatched(self):
         """Fold the plain dispatch count into the metrics counter."""
@@ -447,28 +487,42 @@ class Simulator:
         return Process(self, gen, name=name or "process-%d" % self._process_count)
 
     def run(self, until=None):
-        """Run until the heap empties or the clock passes ``until``.
+        """Run until both queues empty or the clock passes ``until``.
 
         With ``until`` given, the clock is left exactly at ``until`` even
         if the last executed entry was earlier, so successive ``run``
         calls compose like wall-clock intervals.
         """
         # The inner loop is the hottest code in the repository: every
-        # simulated event in every experiment passes through it. Heap and
-        # sentinel are bound to locals, the dispatch counter is a plain
-        # integer (flushed to metrics once per run), and entries carry
-        # their argument so no closure is ever allocated per event.
+        # simulated event in every experiment passes through it. Queues
+        # and sentinel are bound to locals, the dispatch counter is a
+        # plain integer (flushed to metrics once per run), and entries
+        # carry their argument so no closure is ever allocated per event.
         heap = self._heap
+        ready = self._ready
+        popleft = ready.popleft
         heappop = heapq.heappop
         no_arg = _NO_ARG
+        now = self._now
         dispatched = 0
+        if until is not None and until < now:
+            return now  # every queued entry is due after ``until``
         try:
-            while heap:
-                entry = heap[0]
-                if until is not None and entry[0] > until:
+            while True:
+                if ready:
+                    # Heap entries due now were pushed earlier: lower seq.
+                    if heap and heap[0][0] == now:
+                        entry = heappop(heap)
+                    else:
+                        entry = popleft()
+                elif heap:
+                    entry = heap[0]
+                    if until is not None and entry[0] > until:
+                        break
+                    heappop(heap)
+                    self._now = now = entry[0]
+                else:
                     break
-                heappop(heap)
-                self._now = entry[0]
                 dispatched += 1
                 fn = entry[2]
                 arg = entry[3]
@@ -479,36 +533,47 @@ class Simulator:
         finally:
             self.events_dispatched += dispatched
             self._flush_dispatched()
-        if until is not None and self._now < until:
+        if until is not None and now < until:
             self._now = until
         return self._now
 
     def run_until_triggered(self, event, limit=None):
-        """Run until ``event`` triggers; raises if the heap drains first.
+        """Run until ``event`` triggers; raises if both queues drain
+        first.
 
         ``limit`` bounds the simulated time as a safety net in tests.
         """
         heap = self._heap
+        ready = self._ready
+        popleft = ready.popleft
         heappop = heapq.heappop
         no_arg = _NO_ARG
+        now = self._now
         dispatched = 0
+        if (limit is not None and limit < now and (ready or heap)
+                and event._value is _PENDING):
+            raise self._limit_exceeded(limit, event)  # all due after it
         try:
             while event._value is _PENDING:
-                if not heap:
+                if ready:
+                    # Heap entries due now were pushed earlier: lower seq.
+                    if heap and heap[0][0] == now:
+                        entry = heappop(heap)
+                    else:
+                        entry = popleft()
+                elif heap:
+                    entry = heap[0]
+                    if limit is not None and entry[0] > limit:
+                        # The entry stays queued: a later run() still
+                        # dispatches it.
+                        raise self._limit_exceeded(limit, event)
+                    heappop(heap)
+                    self._now = now = entry[0]
+                else:
                     raise SimulationError(
                         "simulation ran out of work before %r triggered"
                         % event
                     )
-                entry = heap[0]
-                if limit is not None and entry[0] > limit:
-                    # The entry stays queued: a later run() still
-                    # dispatches it.
-                    raise SimulationError(
-                        "simulated time limit %s exceeded waiting for %r"
-                        % (fmt_time(limit), event)
-                    )
-                heappop(heap)
-                self._now = entry[0]
                 dispatched += 1
                 fn = entry[2]
                 arg = entry[3]
@@ -520,3 +585,9 @@ class Simulator:
             self.events_dispatched += dispatched
             self._flush_dispatched()
         return event.value
+
+    @staticmethod
+    def _limit_exceeded(limit, event):
+        return SimulationError(
+            "simulated time limit %s exceeded waiting for %r"
+            % (fmt_time(limit), event))

@@ -14,14 +14,18 @@ match the digest committed in ``tests/golden/dispatch_schedule.json``:
 
 A changed wake path, callback fan-out or CPU burst hand-off that moves
 one entry, renumbers one sequence number or swaps one callback shows up
-here. The record is taken by replacing the ``heapq`` module the
-simulator core uses with a shim whose ``heappop`` notes each entry; the
-simulator has no hook for it.
+here. The record is taken where entries are dispatched, from both of
+the simulator's queues: the ``heapq`` module the simulator core uses is
+replaced with a shim whose ``heappop`` notes each entry, and its
+``deque`` with a subclass whose ``popleft`` notes each ready-queue
+entry into the same record, so the interleaving of the two queues is
+kept. The simulator has no hook for it.
 
 Regenerate (only for a change that argues a new schedule) with
 ``PYTHONPATH=src python tests/test_dispatch_golden.py --write``.
 """
 
+import collections
 import hashlib
 import heapq
 import json
@@ -45,18 +49,29 @@ def _qualname(fn):
 
 
 def record(scenario):
-    """Run ``scenario()`` and return its dispatch record as text lines."""
+    """Run ``scenario()`` and return its dispatch record as text lines.
+
+    Only simulators built inside the call are recorded: the ready queue
+    is created with the simulator.
+    """
     lines = []
     pop = heapq.heappop
 
-    def recording_pop(heap):
-        entry = pop(heap)
+    def note(entry):
         lines.append("%d %d %s" % (entry[0], entry[1], _qualname(entry[2])))
         return entry
 
+    def recording_pop(heap):
+        return note(pop(heap))
+
+    class RecordingDeque(collections.deque):
+        def popleft(self):
+            return note(super().popleft())
+
     shim = types.SimpleNamespace(heappush=heapq.heappush,
                                  heappop=recording_pop)
-    with mock.patch.object(core, "heapq", shim):
+    with mock.patch.object(core, "heapq", shim), \
+            mock.patch.object(core, "deque", RecordingDeque):
         scenario()
     return lines
 
@@ -279,19 +294,24 @@ def test_dispatch_schedule_matches_golden(name):
 
 
 def test_recording_sees_every_dispatch():
-    sim = Simulator()
-
-    def body():
-        yield sim.timeout(1)
-        yield sim.timeout(2)
+    sims = []
 
     def scenario():
+        sim = Simulator()
+        sims.append(sim)
+
+        def body():
+            yield sim.timeout(1)
+            yield sim.timeout(2)
+
         sim.spawn(body())
         sim.run()
 
     lines = record(scenario)
-    assert len(lines) == sim.events_dispatched == 5
-    assert lines[0].endswith("Process._start")
+    assert len(lines) == sims[0].events_dispatched == 5
+    # The start and each Timeout's wake of the process are zero-delay
+    # entries, dispatched from the ready queue.
+    assert lines[0] == "0 1 Process._start"
     assert lines[1:3] == ["1 2 Timeout._fire", "1 3 Process._on_event"]
 
 

@@ -15,13 +15,16 @@ ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
 
-def result(ops, cpu, events=8.5, correct=True, failed=0):
+def result(ops, cpu, events=8.5, correct=True, failed=0, setup=0.5,
+           rss=40.0, mbit=21.9, err=0.04):
     """A result line as perfbench/run.py prints it."""
+    values = {"setup_s": (setup, "s"), "ops_per_s": (ops, "1/s"),
+              "cpu_s": (cpu, "s"), "events_per_op": (events, "count"),
+              "peak_rss_mb": (rss, "MB"), "sim_mbit": (mbit, "Mbit/s"),
+              "ratio_err": (err, "ratio")}
     return {"correct": correct, "attempted": 100, "failed": failed,
-            "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
-                        "cpu_s": {"value": cpu, "unit": "s"},
-                        "events_per_op": {"value": events,
-                                          "unit": "count"}}}
+            "metrics": {key: {"value": value, "unit": unit}
+                        for key, (value, unit) in values.items()}}
 
 
 def pairs(ref_ops, tree_ops, **tree):
@@ -66,6 +69,24 @@ class TestSummarise:
         assert len(summary["problems"]) == 2
         assert "events_per_op differs" in summary["problems"][0]
 
+    @pytest.mark.parametrize("key, tree", [("sim_mbit", {"mbit": 21.8}),
+                                           ("ratio_err", {"err": 0.05})])
+    def test_simulated_output_mismatch_is_a_problem(self, key, tree):
+        summary = ab.summarise(pairs([100], [120], **tree))
+        assert summary["problems"] == [
+            "pair 1: %s differs: ref %r, tree %r"
+            % (key, result(0, 0)["metrics"][key]["value"],
+               result(0, 0, **tree)["metrics"][key]["value"])]
+
+    def test_host_metrics_may_differ(self):
+        summary = ab.summarise(pairs([100, 100], [120, 120], setup=0.9,
+                                     rss=45.0))
+        assert summary["problems"] == []
+        assert summary["medians"]["ref"]["setup_s"] == 0.5
+        assert summary["medians"]["tree"]["setup_s"] == 0.9
+        assert summary["medians"]["ref"]["peak_rss_mb"] == 40.0
+        assert summary["medians"]["tree"]["peak_rss_mb"] == 45.0
+
     def test_incorrect_side_is_a_problem(self):
         summary = ab.summarise(pairs([100], [120], correct=False, failed=3))
         assert summary["problems"] == [
@@ -74,8 +95,10 @@ class TestSummarise:
     def test_render_reports_every_pair_and_the_verdict(self):
         summary = ab.summarise(pairs([100, 110], [120, 100]))
         lines = ab.render(summary, ab.pair_order(2))
-        assert len(lines) == 1 + 2 + 3
+        assert len(lines) == 1 + 2 + 4
         assert lines[2].split()[:2] == ["2", "tree"]
+        assert lines[4] == ("median setup_s 0.500 (ref) 0.500 (tree); "
+                            "peak_rss_mb 40.0 (ref) 40.0 (tree)")
         assert lines[-1].startswith("tree won 1 of 2 pairs")
 
 

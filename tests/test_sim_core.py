@@ -1,6 +1,8 @@
 """Tests for the discrete-event simulator core."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.core import (
     AllOf,
@@ -13,6 +15,7 @@ from repro.sim.core import (
     Timeout,
 )
 from repro.sim.units import MS, SEC, US
+from tests.test_dispatch_golden import record
 
 
 class TestClockAndScheduling:
@@ -276,6 +279,28 @@ class TestProcess:
         sim.run()  # the 10us timeout still fires but must not resume it
         assert not proc.alive
 
+    @pytest.mark.parametrize("handled", [False, True])
+    def test_self_interrupt_ends_the_process_once(self, sim, handled):
+        # The interrupt lands while the process waits on the event it
+        # yielded after interrupting itself; that event's later wake
+        # must not resume the finished generator.
+        procs = []
+
+        def body():
+            try:
+                procs[0].interrupt("self")
+                yield sim.timeout(1 * US)
+            except Interrupt:
+                if not handled:
+                    raise
+            return "done"
+
+        procs.append(sim.spawn(body()))
+        sim.run()
+        assert not procs[0].alive
+        assert procs[0].value == ("done" if handled else None)
+        assert sim.now == 1 * US
+
 
 class TestCombinators:
     def test_all_of_collects_values(self, sim):
@@ -346,3 +371,159 @@ class TestRunUntilTriggered:
         assert late.value == "late"
         assert sim.now == 20 * MS
         assert sim.events_dispatched == 2
+
+
+_DELAYS = st.sampled_from([0, 1, 2, 5])
+_SHARED = st.integers(0, 2)
+_STEP = st.one_of(
+    st.tuples(st.just("sleep"), _DELAYS),
+    st.tuples(st.just("wait"), _SHARED),
+    st.tuples(st.just("trigger"), _SHARED),
+    st.tuples(st.just("fail"), _SHARED),
+    st.tuples(st.just("all"), st.lists(_DELAYS, max_size=3), _SHARED),
+    st.tuples(st.just("any"), st.lists(_DELAYS, min_size=1, max_size=3),
+              _SHARED),
+    st.tuples(st.just("interrupt"), st.integers(0, 5)),
+    st.tuples(st.just("join"), _DELAYS),
+)
+
+
+class TestReadyQueue:
+    """Zero-delay entries skip the heap without reordering dispatch."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(programs=st.lists(st.lists(_STEP, max_size=8), min_size=1,
+                             max_size=6),
+           splits=st.lists(st.integers(0, 30), max_size=3))
+    def test_dispatch_is_strictly_ordered(self, programs, splits):
+        # Dispatch order through run(until) splits, run_until_triggered
+        # and a final run() is strictly increasing in (time, seq).
+        sims = []
+        lines = record(lambda: self._run_program(sims, programs, splits))
+        dispatched = [tuple(map(int, line.split()[:2])) for line in lines]
+        assert len(dispatched) == sims[0].events_dispatched
+        assert all(a < b for a, b in zip(dispatched, dispatched[1:]))
+
+    @staticmethod
+    def _run_program(sims, programs, splits):
+        sim = Simulator()
+        sims.append(sim)
+        shared = [sim.event("shared-%d" % k) for k in range(3)]
+        procs = []
+
+        def child(delay):
+            yield sim.timeout(delay)
+
+        def body(steps):
+            for kind, *args in steps:
+                try:
+                    if kind == "sleep":
+                        yield sim.timeout(args[0])
+                    elif kind == "wait":
+                        yield shared[args[0]]
+                    elif kind == "trigger":
+                        if not shared[args[0]].triggered:
+                            shared[args[0]].trigger(args[0])
+                    elif kind == "fail":
+                        if not shared[args[0]].triggered:
+                            shared[args[0]].fail(KeyError(args[0]))
+                    elif kind in ("all", "any"):
+                        events = [sim.timeout(d) for d in args[0]]
+                        events.append(shared[args[1]])
+                        yield (sim.all_of(events) if kind == "all"
+                               else sim.any_of(events))
+                    elif kind == "interrupt":
+                        procs[args[0] % len(procs)].interrupt(kind)
+                    else:
+                        yield sim.spawn(child(args[0]))
+                except (Interrupt, KeyError):
+                    pass
+
+        for steps in programs:
+            procs.append(sim.spawn(body(steps)))
+        for until in sorted(splits):
+            sim.run(until=until)
+            assert not sim._ready
+        try:
+            sim.run_until_triggered(procs[0])
+        except SimulationError:
+            pass  # it waits on an event nothing triggers
+        sim.run()
+
+    def test_earlier_pushed_timeout_runs_before_zero_delay_entry(self, sim):
+        seen = []
+
+        def at_five():
+            seen.append("first")
+            sim.call_after(0, lambda: seen.append(("zero", late.triggered)))
+
+        sim.call_after(5, at_five)
+        late = sim.timeout(5)  # pushed at 0, due at 5, after at_five
+        sim.run()
+        assert seen == ["first", ("zero", True)]
+
+    def test_run_until_returns_with_ready_queue_empty(self, sim):
+        gate = sim.event("gate")
+        woken = []
+
+        def waiter(tag):
+            yield gate
+            yield sim.timeout(0)
+            woken.append((tag, sim.now))
+
+        for tag in range(3):
+            sim.spawn(waiter(tag))
+        sim.call_after(3, lambda: gate.trigger())
+        sim.call_after(4, lambda: woken.append("late"))
+        assert sim.run(until=3) == 3
+        assert not sim._ready
+        assert woken == [(0, 3), (1, 3), (2, 3)]
+
+    def test_run_until_triggered_uses_ready_work_before_giving_up(self, sim):
+        event = sim.event("done")
+
+        def chain():
+            for _ in range(3):
+                yield sim.timeout(0)
+            event.trigger("v")
+
+        sim.spawn(chain())
+        assert sim.run_until_triggered(event) == "v"
+        assert sim.now == 0
+
+    def test_run_until_triggered_runs_out_only_when_both_queues_empty(
+            self, sim):
+        never = sim.event("never")
+        sim.call_after(0, lambda: None)
+        sim.call_after(2, lambda: None)
+        with pytest.raises(SimulationError, match="ran out of work"):
+            sim.run_until_triggered(never)
+        assert sim.events_dispatched == 2
+        assert sim.now == 2
+
+    def test_run_after_limit_error_dispatches_every_entry(self, sim):
+        gate = sim.event("gate")
+        late = sim.timeout(20, value="late")
+        done = []
+
+        def waiter(tag):
+            yield gate
+            done.append(tag)
+
+        for tag in range(3):
+            sim.spawn(waiter(tag))
+        sim.call_after(1, lambda: gate.trigger())
+        with pytest.raises(SimulationError, match="limit"):
+            sim.run_until_triggered(late, limit=10)
+        dispatched = sim.events_dispatched
+        assert done == [0, 1, 2]
+        # Zero-delay work queued at a time past a later call's limit
+        # stays queued through the error too.
+        sim.call_after(0, lambda: done.append("ready"))
+        with pytest.raises(SimulationError, match="limit"):
+            sim.run_until_triggered(late, limit=0)
+        assert sim.events_dispatched == dispatched
+        sim.run()
+        assert done == [0, 1, 2, "ready"]
+        assert late.value == "late"
+        assert sim.events_dispatched == dispatched + 2

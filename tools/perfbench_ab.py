@@ -9,12 +9,14 @@ worktree``; nothing is fetched. ``perfbench/run.py --trace 0`` then runs
 ``--pairs`` times on each tree, one run at a time, alternating which
 side goes first so a slow spell of the host does not always land on
 the same side. The script prints each pair's ``ops_per_s`` and
-``cpu_s``, both sides' medians (with the ref's quartiles) and how many
+``cpu_s``, both sides' medians of those and of ``setup_s`` and
+``peak_rss_mb`` (with the ref's ``ops_per_s`` quartiles) and how many
 pairs this tree won on ``ops_per_s``, then removes the worktree.
 
-It exits 1 if any run reports ``"correct": false`` or if the two sides'
-``events_per_op`` differ (a speed-up must not change the simulated
-work), and 2 if a run fails to produce a result line.
+It exits 1 if any run reports ``"correct": false`` or if the two sides
+differ on a deterministic metric (``events_per_op``, ``sim_mbit`` or
+``ratio_err``: a speed-up must not change the simulated work or its
+outputs), and 2 if a run fails to produce a result line.
 """
 
 import argparse
@@ -28,6 +30,11 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("ref", "tree")
+#: Metrics that depend only on the simulation, not on the host: the
+#: two sides must report them identically.
+EXACT = ("events_per_op", "sim_mbit", "ratio_err")
+#: Host-dependent metrics whose medians are reported.
+TIMED = ("ops_per_s", "cpu_s", "setup_s", "peak_rss_mb")
 
 
 def pair_order(pairs):
@@ -58,20 +65,20 @@ def summarise(results):
         for side in SIDES:
             result = pair[side]
             metrics = result["metrics"]
-            row[side] = {key: metrics[key]["value"]
-                         for key in ("ops_per_s", "cpu_s", "events_per_op")}
+            row[side] = {key: metrics[key]["value"] for key in TIMED + EXACT}
             if result["correct"] is not True:
                 problems.append("pair %d: %s reports correct: false "
                                 "(%d failed)" % (index + 1, side,
                                                  result["failed"]))
-        if row["ref"]["events_per_op"] != row["tree"]["events_per_op"]:
-            problems.append("pair %d: events_per_op differs: ref %r, tree %r"
-                            % (index + 1, row["ref"]["events_per_op"],
-                               row["tree"]["events_per_op"]))
+        for key in EXACT:
+            if row["ref"][key] != row["tree"][key]:
+                problems.append("pair %d: %s differs: ref %r, tree %r"
+                                % (index + 1, key, row["ref"][key],
+                                   row["tree"][key]))
         row["win"] = row["tree"]["ops_per_s"] > row["ref"]["ops_per_s"]
         rows.append(row)
     medians = {side: {key: statistics.median(row[side][key] for row in rows)
-                      for key in ("ops_per_s", "cpu_s")}
+                      for key in TIMED}
                for side in SIDES}
     return {
         "rows": rows,
@@ -99,6 +106,11 @@ def render(summary, order):
     lines.append("%-12s %12.1f %12.1f %10.3f %10.3f" % (
         "median", medians["ref"]["ops_per_s"], medians["tree"]["ops_per_s"],
         medians["ref"]["cpu_s"], medians["tree"]["cpu_s"]))
+    lines.append("median setup_s %.3f (ref) %.3f (tree); peak_rss_mb "
+                 "%.1f (ref) %.1f (tree)" % (
+                     medians["ref"]["setup_s"], medians["tree"]["setup_s"],
+                     medians["ref"]["peak_rss_mb"],
+                     medians["tree"]["peak_rss_mb"]))
     low, high = summary["ref_quartiles"]
     lines.append("ref ops_per_s quartiles %.1f-%.1f (spread %.1f)"
                  % (low, high, high - low))
