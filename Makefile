@@ -1,10 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test obs chaos chaos-pressure report bench bench-smoke \
-    scale scale-smoke smp smp-smoke regimes regimes-smoke sweep \
-    sweep-smoke missions-lint matrix-drift crash integrity lint docs-lint \
-    perfbench-check perfbench-ab
+.PHONY: verify test obs chaos chaos-pressure report scale scale-smoke \
+    smp smp-smoke regimes regimes-smoke sweep sweep-smoke missions-lint \
+    matrix-drift crash integrity lint docs-lint perfbench-check \
+    perfbench-ab
 
 # Tier-1 suite (the repo's acceptance bar) + the observability tests.
 verify: test obs
@@ -33,16 +33,6 @@ chaos-pressure:
 # Accountability workload + JSON metrics snapshot (results/metrics.json).
 report:
 	$(PYTHON) -m repro.exp report --metrics
-
-# Performance plane: the full benchmark suite (warmup + 3 reps, a few
-# minutes) writing a schema-versioned BENCH_<timestamp>.json at the
-# repo root. `bench-smoke` is the CI variant: 1 rep, no warmup,
-# scaled-down workloads — validates the harness, not the numbers.
-bench:
-	$(PYTHON) -m repro.exp bench
-
-bench-smoke:
-	$(PYTHON) -m repro.exp bench --smoke
 
 # Benchmark output gate: one rep of every perfbench workload checked
 # against perfbench/reference.json (simulated outputs, event counts),

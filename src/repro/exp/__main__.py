@@ -3,7 +3,6 @@
     python -m repro.exp [table1|fig7|fig8|fig9|ablations|chaos|pressure|all]
     python -m repro.exp chaos --pressure
     python -m repro.exp report --metrics [--out DIR]
-    python -m repro.exp bench [--smoke] [--reps N] [--out DIR]
     python -m repro.exp scale [--smoke] [--out DIR]
     python -m repro.exp smp [--smoke] [--out DIR]
     python -m repro.exp regimes [--smoke] [--out DIR]
@@ -17,8 +16,7 @@ on the development container; each module's docstring states its own
 expected runtime). Individual experiments accept the same names as
 their modules. ``report`` runs the accountability workload and dumps
 a JSON metrics snapshot next to the figure outputs (see
-:mod:`repro.exp.metrics_report`); ``bench`` runs the performance-plane
-suite (:mod:`repro.exp.bench`); ``scale`` runs the multi-volume USBS
+:mod:`repro.exp.metrics_report`); ``scale`` runs the multi-volume USBS
 scale-out and failure-containment experiment (:mod:`repro.exp.scale`);
 ``smp`` runs the multi-core crosstalk-containment and core-scaling
 experiment (:mod:`repro.exp.smp`); ``regimes`` runs the
@@ -40,9 +38,9 @@ import pstats
 import sys
 import time
 
-from repro.exp import (ablations, bench, chaos, crash, fig7, fig8, fig9,
-                       integrity, metrics_report, microbench, pressure,
-                       regimes, scale, smp, sweep)
+from repro.exp import (ablations, chaos, crash, fig7, fig8, fig9, integrity,
+                       metrics_report, microbench, pressure, regimes, scale,
+                       smp, sweep)
 
 
 def _banner(title):
@@ -138,9 +136,6 @@ def main(argv):
     if argv and argv[0] == "report":
         _banner("Metrics report")
         return metrics_report.main(argv[1:])
-    if argv and argv[0] == "bench":
-        _banner("Benchmark suite — performance plane")
-        return bench.main(argv[1:])
     if argv and argv[0] == "scale":
         _banner("Scale — multi-volume USBS scale-out & containment")
         return scale.main(argv[1:])
@@ -165,8 +160,8 @@ def main(argv):
     unknown = [t for t in targets if t not in RUNNERS]
     if unknown:
         print("unknown experiment(s): %s" % ", ".join(unknown))
-        print("choose from: %s, all (also: report, bench, scale, smp, "
-              "regimes, sweep, crash, integrity)" % ", ".join(RUNNERS))
+        print("choose from: %s, all (also: report, scale, smp, regimes, "
+              "sweep, crash, integrity)" % ", ".join(RUNNERS))
         return 1
     started = time.time()
     for target in targets:

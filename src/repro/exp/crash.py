@@ -38,8 +38,6 @@ Expected runtime: ~1 minute including the drain wait and the
 reproducibility re-run.
 """
 
-import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -212,30 +210,19 @@ def format_result(result):
     return "\n".join(lines)
 
 
-def write_report(result, out_dir="results"):
-    """Write the canonical mission report as ``crash.json``."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "crash.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def main(argv=None):
     """CLI: run the scenario, print the verdicts, write ``crash.json``;
     exits non-zero if the mission fails."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    out_dir = "results"
-    if argv and argv[0] == "--out":
-        out_dir = argv[1]
-        argv = argv[2:]
+    out_dir = report.pop_out_dir(argv)
+    if out_dir is None:
+        return 1
     if argv:
         print("usage: python -m repro.exp crash [--out DIR]")
         return 1
     result = run()
     print(format_result(result))
-    path = write_report(result, out_dir)
+    path = report.write_json(out_dir, "crash", result.report)
     print("full report: %s" % path)
     if not result.passed:
         print("crash: recovery/containment check FAILED")

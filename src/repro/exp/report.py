@@ -7,7 +7,6 @@ client, filled boxes for transactions, lines for lax time, arrows for
 new allocations.
 """
 
-import json
 import os
 import sys
 
@@ -107,31 +106,55 @@ def trace_summary(trace, start, end):
                                                  fmt_time(end)))
 
 
+def write_json(out_dir, name, payload):
+    """Write ``payload`` as ``<out_dir>/<name>.json`` in the canonical
+    report serialisation (indented, sorted keys, trailing newline),
+    creating ``out_dir``; returns the path."""
+    # Imported here: the figure modules import this one, and need not
+    # load the mission runner.
+    from repro.missions.runner import report_json
+
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "%s.json" % name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(report_json(payload))
+    return path
+
+
+def pop_out_dir(argv):
+    """Remove ``--out DIR`` from the list ``argv``; returns ``DIR``
+    (default ``results``), or None when ``--out`` has no directory."""
+    if "--out" not in argv:
+        return "results"
+    index = argv.index("--out")
+    if index + 1 == len(argv):
+        print("--out requires a directory")
+        return None
+    out_dir = argv[index + 1]
+    del argv[index:index + 2]
+    return out_dir
+
+
 def scenario_main(name, argv, config, smoke_config, run, format_result):
     """The CLI ``[--smoke] [--out DIR]`` shared by the gated scenarios
     (``scale``, ``smp``, ``regimes``): run, print the tables, write
     ``<name>.json`` (default dir ``results``); exit 1 on an unknown
-    argument or, outside smoke mode, a failed gate."""
+    argument, on ``--out`` without a directory or, outside smoke mode,
+    a failed gate."""
     argv = list(sys.argv[1:] if argv is None else argv)
     smoke = "--smoke" in argv
     if smoke:
         argv.remove("--smoke")
-    out_dir = "results"
-    if "--out" in argv:
-        index = argv.index("--out")
-        out_dir = argv[index + 1]
-        del argv[index:index + 2]
+    out_dir = pop_out_dir(argv)
+    if out_dir is None:
+        return 1
     if argv:
         print("unknown %s argument(s): %s" % (name, " ".join(argv)))
         return 1
     config = smoke_config() if smoke else config()
     payload = run(config)
     print(format_result(payload, config))
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "%s.json" % name)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = write_json(out_dir, name, payload)
     print()
     print("wrote %s" % path)
     return 1 if not payload["passed"] and not config.smoke else 0

@@ -41,8 +41,9 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.exp.report import write_json
 from repro.missions import (REPORT_SCHEMA_VERSION, MissionError,
-                            load_mission, report_json, run_mission)
+                            load_mission, run_mission)
 
 #: Bump on incompatible changes to the ``results/sweep.json`` layout.
 #: v2: rows gained ``rule_fires``, counts gained ``hung``.
@@ -261,19 +262,15 @@ def sweep(paths, jobs, out_dir, worker=_worker, budget=_retry_budget):
     rows = []
     outcomes, crashed, hung = _execute(paths, jobs, worker, budget)
     for outcome in outcomes:
-        with open(os.path.join(report_dir, "%s.json" % outcome["name"]),
-                  "w", encoding="utf-8") as fh:
-            fh.write(report_json(outcome["report"]))
+        write_json(report_dir, outcome["name"], outcome["report"])
         rows.append(_summarise(outcome))
     rows.extend(_crash_row(path) for path in crashed)
     for path, seconds in hung:
         # The hung mission still gets a canonical (FAIL) report on
         # disk, so downstream consumers never special-case a gap.
         row = _hung_row(path, seconds)
-        mission = load_mission(path)
-        with open(os.path.join(report_dir, "%s.json" % row["name"]),
-                  "w", encoding="utf-8") as fh:
-            fh.write(report_json(_hung_report(mission, seconds)))
+        write_json(report_dir, row["name"],
+                   _hung_report(load_mission(path), seconds))
         rows.append(row)
     rows.sort(key=lambda row: row["name"])
     aggregate = {
@@ -291,10 +288,7 @@ def sweep(paths, jobs, out_dir, worker=_worker, budget=_retry_budget):
         "elapsed_sec": round(time.monotonic() - started, 2),
         "passed": all(row["passed"] for row in rows),
     }
-    with open(os.path.join(out_dir, "sweep.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(aggregate, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir, "sweep", aggregate)
     return aggregate
 
 

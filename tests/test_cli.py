@@ -7,9 +7,10 @@ class TestExpMain:
     def test_unknown_target_rejected(self, capsys):
         from repro.exp.__main__ import main
 
-        assert main(["frobnicate"]) == 1
-        out = capsys.readouterr().out
-        assert "unknown experiment" in out
+        for target in ("frobnicate", "bench"):
+            assert main([target]) == 1
+            out = capsys.readouterr().out
+            assert "unknown experiment(s): %s" % target in out
 
     def test_table1_runs(self, capsys):
         from repro.exp.__main__ import main

@@ -1,5 +1,6 @@
 """Tests for the report rendering helpers and experiment scaffolding."""
 
+import importlib
 import json
 from dataclasses import dataclass
 
@@ -154,6 +155,10 @@ class TestScenarioMain:
         assert "unknown fake argument(s): --bogus" in capsys.readouterr().out
         assert not (tmp_path / "fake.json").exists()
 
+    def test_out_without_directory_exits_1(self, capsys):
+        assert self._main(["--out"]) == 1
+        assert capsys.readouterr().out == "--out requires a directory\n"
+
     def test_out_writes_named_json(self, tmp_path, capsys):
         assert self._main(["--out", str(tmp_path)]) == 0
         path = tmp_path / "fake.json"
@@ -169,3 +174,38 @@ class TestScenarioMain:
         assert self._main(["--smoke", "--out", str(tmp_path)],
                           passed=False) == 0
         assert json.loads((tmp_path / "fake.json").read_text())["smoke"]
+
+
+class TestMissionWrapperMain:
+    """The ``crash``/``integrity`` CLI rejects bad arguments before any
+    run starts."""
+
+    @pytest.mark.parametrize("name", ["crash", "integrity"])
+    def test_out_without_directory_exits_1(self, name, monkeypatch,
+                                           capsys):
+        module = importlib.import_module("repro.exp.%s" % name)
+
+        def run():
+            raise AssertionError("%s ran" % name)
+
+        monkeypatch.setattr(module, "run", run)
+        assert module.main(["--out"]) == 1
+        assert capsys.readouterr().out == "--out requires a directory\n"
+
+    @pytest.mark.parametrize("name", ["crash", "integrity"])
+    def test_out_writes_canonical_report(self, name, tmp_path,
+                                         monkeypatch, capsys):
+        module = importlib.import_module("repro.exp.%s" % name)
+        report_dict = {"passed": True, "invariants": []}
+
+        class Result:
+            report = report_dict
+            passed = True
+
+        monkeypatch.setattr(module, "run", Result)
+        monkeypatch.setattr(module, "format_result", lambda result: "table")
+        assert module.main(["--out", str(tmp_path)]) == 0
+        path = tmp_path / ("%s.json" % name)
+        assert path.read_text() == json.dumps(
+            report_dict, indent=2, sort_keys=True) + "\n"
+        assert "full report: %s" % path in capsys.readouterr().out

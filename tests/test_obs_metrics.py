@@ -2,10 +2,16 @@
 semantics, label isolation, snapshot/diff, zero cost when disabled, and
 span tracing unified with Trace."""
 
+import gc
 import json
 
 import pytest
 
+from repro.hw.mmu import AccessKind, FaultCode
+from repro.kernel.threads import Compute, Touch
+from repro.mm.rights import Rights
+from repro.mm.sdriver import FaultOutcome
+from repro.obs import metrics as metrics_mod
 from repro.obs.metrics import (
     LATENCY_BUCKETS_NS,
     MetricsRegistry,
@@ -15,7 +21,8 @@ from repro.obs.metrics import (
 from repro.obs.spans import NULL_TRACER, SpanTracer
 from repro.sim.core import Simulator
 from repro.sim.trace import Trace
-from repro.sim.units import MS
+from repro.sim.units import MS, SEC
+from repro.system import NemesisSystem
 
 
 class TestCounter:
@@ -295,6 +302,60 @@ class TestDisabledRegistry:
         sim.call_after(5, lambda: None)
         sim.run()
         assert sim.metrics.snapshot().names() == []
+
+
+def _fault_roundtrip(iterations):
+    """Protection-fault round-trips with observability off: fault ->
+    kernel dispatch -> activation -> custom handler fix-up -> retry."""
+    system = NemesisSystem(cpu="unlimited", usd_trace=False, metrics=False)
+    app = system.new_app("faulter", guaranteed_frames=12)
+    stretch = app.new_stretch(4 * system.machine.page_size)
+    driver = app.physical_driver(frames=4)
+    driver.zero_on_map = False
+    app.bind(stretch, driver)
+    sid = stretch.sid
+    protdom = app.domain.protdom
+
+    def handler(fault):
+        protdom.set_rights(sid, Rights.parse("rwm"), hot=True)
+        return FaultOutcome.SUCCESS
+
+    app.mmentry.set_fault_handler(FaultCode.PROTECTION, handler)
+
+    def body():
+        va = stretch.base
+        yield Touch(va, AccessKind.READ)   # settle mapping + assists
+        for _ in range(iterations):
+            protdom.set_rights(sid, Rights.parse("m"), hot=True)
+            yield Compute(0)
+            yield Touch(va, AccessKind.READ)
+
+    thread = app.spawn(body(), name="faulter")
+    system.sim.run_until_triggered(thread.done, limit=120 * SEC)
+    return system
+
+
+def _live_metric_objects():
+    """Count live bound-instrument/cell objects after a full collection."""
+    classes = (metrics_mod._BoundCounter, metrics_mod._BoundGauge,
+               metrics_mod._BoundHistogram)
+    gc.collect()
+    return sum(isinstance(obj, classes) for obj in gc.get_objects())
+
+
+class TestDisabledObservabilityAllocatesNothing:
+    def test_fault_path_with_metrics_off(self):
+        # Prime everything (module init, code objects, interned strings)
+        # with one throwaway run, then assert a second run, counted while
+        # its system is still alive, allocates no new metric objects at
+        # all: with metrics=False every instrument must resolve to the
+        # shared null singletons.
+        _fault_roundtrip(iterations=5)
+        before = _live_metric_objects()
+        system = _fault_roundtrip(iterations=5)
+        after = _live_metric_objects()
+        assert not system.metrics.enabled
+        assert after <= before
 
 
 class TestSpans:

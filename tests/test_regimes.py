@@ -403,13 +403,20 @@ class TestRegimesExperiment:
         from repro.exp.regimes import classic_path_inert
         assert classic_path_inert() is True
 
-    def test_fault_costs_favour_seg(self):
+    @staticmethod
+    def _check_fault_costs_favour_seg(pages):
         from repro.exp.regimes import RegimesConfig, run_fault_costs
-        result = run_fault_costs(RegimesConfig(cost_pages=8))
+        result = run_fault_costs(RegimesConfig(cost_pages=pages))
         assert result["seg"]["faults"] == 1
-        assert result["paged"]["faults"] == 8
+        assert result["paged"]["faults"] == pages
         assert result["gates"]["seg_fault_cost_below_paged"] is True
         assert 0 < result["seg_over_paged"] < 1
+
+    def test_fault_costs_favour_seg(self):
+        self._check_fault_costs_favour_seg(8)
+
+    def test_fault_costs_favour_seg_16_pages(self):
+        self._check_fault_costs_favour_seg(16)
 
     def test_mission_builders_validate(self):
         from repro.exp.regimes import (build_bandwidth_mission,
@@ -422,13 +429,3 @@ class TestRegimesExperiment:
             mission = build_multipager_mission(config, pressure)
             multi = mission["workload"]["domains"][0]
             assert len(multi["stretches"]) == 2
-
-    def test_bench_entry_records_regime_costs(self):
-        from repro.exp import bench
-        result = bench.run_benchmark("seg_vs_paged", reps=1, warmup=0,
-                                     smoke=True)
-        assert result["ops"] == 17    # 16 paged faults + 1 extent fault
-        extra = result["extra"]
-        assert set(extra) == {"seg_ns_per_page", "paged_ns_per_page",
-                              "seg_over_paged"}
-        assert extra["seg_over_paged"] < 1
