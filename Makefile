@@ -3,8 +3,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test obs chaos chaos-pressure report scale scale-smoke \
     smp smp-smoke regimes regimes-smoke sweep sweep-smoke missions-lint \
-    matrix-drift crash integrity lint docs-lint perfbench-check \
-    perfbench-ab
+    matrix-drift experiments-drift crash integrity lint docs-lint \
+    perfbench-check perfbench-ab
 
 # Tier-1 suite (the repo's acceptance bar) + the observability tests.
 verify: test obs
@@ -18,14 +18,16 @@ obs:
 	    tests/test_properties_sched.py \
 	    tests/test_sim_trace_units.py
 
-# Fault-storm scenario: the chaos experiment plus the chaos-marked
-# acceptance tests (deselected from the default pytest run).
+# Fault-storm scenario: the chaos experiment (missions/chaos-fig9.toml)
+# plus the chaos-marked acceptance tests (deselected from the default
+# pytest run).
 chaos:
 	$(PYTHON) -m repro.exp chaos
 	$(PYTHON) -m pytest -q -m chaos
 
 # Memory-pressure scenario: hostile-domain revocation + clean-before-
-# release under a disk storm, plus the pressure-marked acceptance tests.
+# release under a disk storm (missions/pressure-revocation.toml), plus
+# the pressure-marked acceptance tests.
 chaos-pressure:
 	$(PYTHON) -m repro.exp chaos --pressure
 	$(PYTHON) -m pytest -q -m pressure
@@ -95,7 +97,8 @@ regimes-smoke:
 # parallel workers; per-mission reports in results/missions/, the
 # aggregate in results/sweep.json. `sweep-smoke` is the CI matrix
 # (missions marked smoke = true); `missions-lint` validates the whole
-# corpus without running a single simulation.
+# corpus, including the files the chaos, pressure, crash and integrity
+# scenarios run, without running a single simulation.
 sweep:
 	$(PYTHON) -m repro.exp sweep
 
@@ -111,17 +114,25 @@ matrix-drift:
 	$(PYTHON) -m repro.missions.matrix --out $${TMPDIR:-/tmp}/matrix-drift
 	diff -ru missions/matrix $${TMPDIR:-/tmp}/matrix-drift
 
-# Crash plane: supervised component-crash recovery scenario
-# (results/crash.json; recovery budgets, bystander retention and the
-# escalation ladder enforced), plus the crash-marked acceptance tests.
+# The committed EXPERIMENTS.md must match its generator byte-for-byte:
+# regenerate from live runs (~15 s) into a scratch file and fail on any
+# drift.
+experiments-drift:
+	$(PYTHON) -m repro.exp.regenerate $${TMPDIR:-/tmp}/EXPERIMENTS.md
+	diff EXPERIMENTS.md $${TMPDIR:-/tmp}/EXPERIMENTS.md
+
+# Crash plane: supervised component-crash recovery, the committed
+# missions/crash-recovery.toml (results/crash.json; recovery budgets,
+# bystander retention and the escalation ladder enforced), plus the
+# crash-marked acceptance tests.
 crash:
 	$(PYTHON) -m repro.exp crash
 	$(PYTHON) -m pytest -q -m crash
 
 # Integrity plane: silent-corruption storms against the end-to-end
-# checksummed swap (results/integrity.json; zero undetected
-# corruptions, the repair ledger, scrub-overhead floors and the
-# rot-escalation drain enforced).
+# checksummed swap, the committed missions/integrity-accountability.toml
+# (results/integrity.json; zero undetected corruptions, the repair
+# ledger, scrub-overhead floors and the rot-escalation drain enforced).
 integrity:
 	$(PYTHON) -m repro.exp integrity
 

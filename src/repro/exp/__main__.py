@@ -27,6 +27,9 @@ registry accountability gates (:mod:`repro.exp.regimes`);
 ``crash`` runs the supervised component-crash recovery scenario
 (:mod:`repro.exp.crash`); ``integrity`` runs the silent-corruption
 detect/repair/declare scenario (:mod:`repro.exp.integrity`).
+``chaos``, ``pressure`` (``chaos --pressure``), ``crash`` and
+``integrity`` each run one committed mission file under
+``missions/``, found from any working directory.
 ``--profile`` wraps the selected
 experiments in :mod:`cProfile` and writes a pstats dump per experiment
 under ``results/`` alongside a printed top-25 by cumulative time.

@@ -8,50 +8,42 @@ one pager's swap extent. Every retry, backoff and remap that recovery
 costs is charged to that pager, so the verdict mirrors Figure 9's:
 
 * the file-system client and the other pager stay within tolerance
-  (default 5%) of their fault-free bandwidth;
+  (5%, declared in the mission file) of their fault-free bandwidth;
 * the whole storm is reproducible byte-for-byte given the same seed —
   the run is re-executed and the two result payloads compared.
 
-Since the mission plane landed this module is a thin wrapper: it
-builds the ``chaos-fig9`` mission from its config and hands execution
-to :mod:`repro.missions.runner` (the committed corpus file
-``missions/chaos-fig9.toml`` is the same mission in TOML, and the
-equivalence tests hold both to the pre-mission numbers).
+The scenario is the committed mission file ``missions/chaos-fig9.toml``:
+this module loads it, hands execution to :mod:`repro.missions.runner`
+and prints the verdict table (the equivalence tests hold it to the
+pre-mission numbers).
 
 Run it with ``python -m repro.exp chaos`` or ``make chaos``.
-Expected runtime: ~2 s including the reproducibility re-run.
+Expected runtime: ~1 s including the reproducibility re-run.
 """
 
 from dataclasses import dataclass
 
 from repro.exp import report
-from repro.exp.fig9 import Fig9Config
-from repro.missions import (MISSION_SCHEMA_VERSION, run_mission,
-                            validate_mission, verdicts)
+from repro.missions import run_mission, verdicts
 
-
-@dataclass(frozen=True)
-class ChaosConfig:
-    """Knobs for the fault storm: rates, scope, and pass tolerance."""
-
-    fig9: Fig9Config = Fig9Config(settle_sec=3.0, measure_sec=10.0)
-    seed: int = 42
-    transient_rate: float = 0.15    # the scenario's floor is 10%
-    bad_blocks: int = 1
-    tolerance: float = 0.05
+#: The committed mission this scenario runs, under ``missions/``.
+MISSION = "chaos-fig9"
 
 
 @dataclass
 class ChaosResult:
     """Fault-free vs under-storm bandwidth plus the isolation verdict."""
 
-    config: ChaosConfig
+    seed: int
+    tolerance: float    # the bystanders' allowed retention shortfall
     baseline: dict      # domain -> Mbit/s, fault-free run
     storm: dict         # domain -> Mbit/s, under the storm
     stats: dict         # recovery counters from the storm run
     victim: str
     reproducible: bool
     isolated: bool      # both non-faulty domains within tolerance
+    passed: bool        # the mission's own verdict: every check, the
+                        # injection audit and the determinism re-run
 
     def retention(self, name):
         """Under-storm bandwidth as a fraction of fault-free bandwidth."""
@@ -64,70 +56,17 @@ class ChaosResult:
         """Every domain except the one whose disk extent is faulty."""
         return [name for name in self.baseline if name != self.victim]
 
-    @property
-    def passed(self):
-        """Overall verdict: isolation held and the run reproduced."""
-        return self.isolated and self.reproducible
 
-
-def build_mission(config):
-    """The chaos scenario as a normalised mission dict.
-
-    The fsclient takes 50% of the disk, the pagers take their
-    Figure-9 shares, and the storm (transient rate + bad blocks)
-    lands on the last — smallest-guarantee — pager's swap extent.
-    The isolation verdict is its one ``bandwidth_retention`` check.
-    """
-    fig9 = config.fig9
-    domains = [{
-        "kind": "fsclient", "name": "fsclient",
-        "period_ms": fig9.period_ms, "slice_ms": float(fig9.fs_slice_ms),
-        "laxity_ms": fig9.fs_laxity_ms, "depth": fig9.fs_depth,
-    }]
-    for slice_ms in fig9.pager_slices_ms:
-        share = 100 * slice_ms // fig9.period_ms
-        domains.append({
-            "kind": "pager", "name": "pager-%d%%" % share,
-            "period_ms": fig9.period_ms, "slice_ms": float(slice_ms),
-            "laxity_ms": fig9.pager_laxity_ms, "mode": "write-loop",
-            "stretch_kb": fig9.stretch_bytes // 1024,
-            "driver_frames": fig9.driver_frames,
-            "swap_kb": fig9.swap_bytes // 1024,
-        })
-    victim = domains[-1]["name"]     # smallest guarantee hosts the storm
-    faults = []
-    if config.transient_rate > 0.0:
-        faults.append({"kind": "transient", "rate": config.transient_rate,
-                       "scope": "extent:%s" % victim})
-    if config.bad_blocks:
-        faults.append({"kind": "bad_block", "blocks": config.bad_blocks,
-                       "scope": "extent:%s" % victim})
-    return validate_mission({
-        "schema": MISSION_SCHEMA_VERSION,
-        "mission": {"name": "chaos-fig9", "family": "chaos",
-                    "seed": config.seed},
-        "topology": {"backing": fig9.backing},
-        "workload": {"domains": domains},
-        "phases": {"settle_sec": fig9.settle_sec,
-                   "measure_sec": fig9.measure_sec},
-        "runs": [{"name": "baseline"},
-                 {"name": "storm", "faults": faults}],
-        "determinism": {"repeat": "storm"},
-        "expect": [{"check": "bandwidth_retention", "run": "storm",
-                    "baseline": "baseline",
-                    "domains": [d["name"] for d in domains[:-1]],
-                    "tolerance": config.tolerance}],
-    })
-
-
-def run(config=ChaosConfig()):
+def run():
     """Execute the chaos mission: baseline run, storm run, then the
     storm again for the determinism comparison."""
-    mission = build_mission(config)
+    mission = report.load_scenario(MISSION)
     mission_report = run_mission(mission)
     baseline = mission_report["runs"]["baseline"]
     storm = mission_report["runs"]["storm"]
-    victim = mission["workload"]["domains"][-1]["name"]
+    # The storm's rules all scope one pager's extent: "extent:<victim>".
+    victim, = {rule["scope"].partition(":")[2]
+               for run in mission["runs"] for rule in run["faults"]}
     victim_stats = storm["domains"][victim]
     stats = {
         "faults_injected": storm["stats"]["faults_injected"],
@@ -137,11 +76,14 @@ def run(config=ChaosConfig()):
         "pages_lost": victim_stats["pages_lost"],
         "watchdog_kills": victim_stats["watchdog_kills"],
     }
-    return ChaosResult(config=config, baseline=baseline["mbit"],
-                       storm=storm["mbit"], stats=stats, victim=victim,
+    retention = verdicts(mission_report)["bandwidth_retention"]
+    return ChaosResult(seed=mission["mission"]["seed"],
+                       tolerance=retention["tolerance"],
+                       baseline=baseline["mbit"], storm=storm["mbit"],
+                       stats=stats, victim=victim,
                        reproducible=mission_report["reproducible"],
-                       isolated=verdicts(mission_report)
-                       ["bandwidth_retention"]["passed"])
+                       isolated=retention["passed"],
+                       passed=mission_report["passed"])
 
 
 def format_result(result):
@@ -158,10 +100,10 @@ def format_result(result):
     stats = ", ".join("%s=%s" % kv for kv in sorted(result.stats.items()))
     lines.append("recovery: %s" % stats)
     lines.append("bystanders within %.0f%%: %s"
-                 % (100 * result.config.tolerance,
+                 % (100 * result.tolerance,
                     "yes" if result.isolated else "NO"))
     lines.append("storm reproducible (seed %d): %s"
-                 % (result.config.seed,
+                 % (result.seed,
                     "yes" if result.reproducible else "NO"))
     return "\n".join(lines)
 
@@ -171,7 +113,7 @@ def main():
     result = run()
     print(format_result(result))
     if not result.passed:
-        raise SystemExit("chaos: isolation/reproducibility check FAILED")
+        raise SystemExit("chaos: fault-storm mission check FAILED")
 
 
 if __name__ == "__main__":

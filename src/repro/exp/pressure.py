@@ -26,53 +26,24 @@ The verdict checks the paper's contract under all that pressure:
   (the storm run is executed twice and the payloads — including a
   digest of the frames-allocator event trace — compared).
 
-Since the mission plane landed this module is a thin wrapper: it
-builds the ``pressure-revocation`` mission from its config and hands
-execution to :mod:`repro.missions.runner` (the committed corpus file
-``missions/pressure-revocation.toml`` is the same mission in TOML,
-and the equivalence tests hold both — including the frames-trace
-digests — to the pre-mission numbers).
+The scenario is the committed mission file
+``missions/pressure-revocation.toml``: this module loads it, hands
+execution to :mod:`repro.missions.runner` and prints the verdict
+table (the equivalence tests hold it, including the frames-trace
+digests, to the pre-mission numbers).
 
 Run it with ``python -m repro.exp chaos --pressure`` or
 ``make chaos-pressure``.
-
-Expected runtime: ~1 s including the reproducibility re-run
-(`python -m repro.exp chaos --pressure` or `make chaos-pressure`).
+Expected runtime: ~1 s including the reproducibility re-run.
 """
 
 from dataclasses import dataclass
 
 from repro.exp import report
-from repro.missions import (MISSION_SCHEMA_VERSION, run_mission,
-                            validate_mission, verdicts)
+from repro.missions import run_mission, verdicts
 
-#: The paper platform's page size in KB (an EB164's 8 KB pages); the
-#: mission format sizes stretches in KB, the config in pages.
-_PAGE_KB = 8
-
-
-@dataclass(frozen=True)
-class PressureConfig:
-    """Knobs for the pressure scenario: sizes, timing, pass thresholds."""
-
-    seed: int = 7
-    transient_rate: float = 0.03
-    machine_mb: int = 4               # 512 frames of 8 KB: easy to overcommit
-    coop_guaranteed: int = 24
-    coop_extra: int = 24
-    coop_driver_frames: int = 48      # guaranteed + extra, all dirty in use
-    coop_stretch_pages: int = 64
-    claim_frames: int = 24            # within the claimant's guarantee
-    claim_guaranteed: int = 32
-    wave_frames: int = 8
-    waves_per_donor: int = 3          # drains each donor's optimistic share
-    claim_at_sec: float = 1.0
-    settle_sec: float = 2.0
-    measure_sec: float = 4.0
-    wave_period_sec: float = 0.3
-    retention_floor: float = 0.95
-    revocation_timeout_ms: int = 100
-    max_rounds: int = 3
+#: The committed mission this scenario runs, under ``missions/``.
+MISSION = "pressure-revocation"
 
 
 @dataclass
@@ -80,7 +51,8 @@ class PressureResult:
     """Payloads from both runs plus the scenario's pass/fail verdict:
     the four invariants are the mission's verdicts (:data:`_VERDICTS`)."""
 
-    config: PressureConfig
+    seed: int
+    retention_floor: float  # the coops' bandwidth floor under the storm
     baseline: dict      # full payload, fault-free disk
     storm: dict         # full payload, transient storm on coop swap
     reproducible: bool
@@ -88,6 +60,8 @@ class PressureResult:
     hostile_killed_only: bool
     claim_satisfied: bool
     bandwidth_held: bool
+    passed: bool        # the mission's own verdict: every check, the
+                        # injection audit and the determinism re-run
 
     def retention(self, name):
         """Under-storm bandwidth as a fraction of fault-free bandwidth."""
@@ -100,15 +74,6 @@ class PressureResult:
         """Names of the cooperative domains, sorted."""
         return sorted(self.baseline["mbit"])
 
-    @property
-    def passed(self):
-        """Overall verdict: all four invariants plus reproducibility."""
-        return (self.guarantees_held and self.hostile_killed_only
-                and self.claim_satisfied and self.bandwidth_held
-                and self.reproducible)
-
-
-_COOPS = ("coop-a", "coop-b")
 
 #: The result's verdict attributes -> the check kind deciding each (in
 #: both runs: no coop dipped below its guarantee, only the hostile
@@ -118,64 +83,6 @@ _VERDICTS = {"guarantees_held": "min_frames",
              "hostile_killed_only": "kill_set",
              "claim_satisfied": "claim_granted",
              "bandwidth_held": "bandwidth_retention"}
-
-
-def build_mission(config):
-    """The pressure scenario as a normalised mission dict, its four
-    invariants declared as checks (see :data:`_VERDICTS`)."""
-    stretch_kb = config.coop_stretch_pages * _PAGE_KB
-    domains = [{
-        "kind": "pager", "name": name, "period_ms": 250, "slice_ms": 50.0,
-        "mode": "write-loop", "stretch_kb": stretch_kb,
-        "driver_frames": config.coop_driver_frames,
-        "swap_kb": 2 * stretch_kb,
-        "guaranteed_frames": config.coop_guaranteed,
-        "extra_frames": config.coop_extra,
-    } for name in _COOPS]
-    domains.append({"kind": "claimant", "name": "claimant",
-                    "guaranteed_frames": config.claim_guaranteed,
-                    "extra_frames": config.wave_frames * 2})
-    # The hostile domain: a tiny guarantee, a huge optimistic ceiling
-    # (extra_frames=-1: the whole machine), every free frame mapped.
-    domains.append({"kind": "hostile_hog", "name": "hostile"})
-    return validate_mission({
-        "schema": MISSION_SCHEMA_VERSION,
-        "mission": {"name": "pressure-revocation", "family": "pressure",
-                    "seed": config.seed},
-        "topology": {"machine_mb": config.machine_mb,
-                     "revocation_timeout_ms": config.revocation_timeout_ms,
-                     "max_revocation_rounds": config.max_rounds},
-        "workload": {"domains": domains},
-        "drivers": [
-            {"kind": "sample_min_alloc", "domains": list(_COOPS)},
-            {"kind": "claim", "client": "claimant",
-             "frames": config.claim_frames, "at_sec": config.claim_at_sec},
-            {"kind": "waves", "donors": list(_COOPS),
-             "claimant": "claimant", "frames": config.wave_frames,
-             "per_donor": config.waves_per_donor,
-             "start_sec": config.settle_sec + 0.2,
-             "period_sec": config.wave_period_sec},
-        ],
-        "behaviors": [{"kind": "revoke_silent", "domain": "hostile"}],
-        "phases": {"settle_sec": config.settle_sec,
-                   "measure_sec": config.measure_sec},
-        "runs": [
-            {"name": "baseline"},
-            {"name": "storm", "faults": [
-                {"kind": "transient", "rate": config.transient_rate,
-                 "scope": "extent:%s" % name} for name in _COOPS]},
-        ],
-        "determinism": {"repeat": "storm"},
-        "expect": [
-            {"check": "min_frames", "domains": list(_COOPS),
-             "floor": config.coop_guaranteed},
-            {"check": "kill_set", "exactly": {"hostile": 1}},
-            {"check": "claim_granted", "frames": config.claim_frames},
-            {"check": "bandwidth_retention", "run": "storm",
-             "baseline": "baseline", "domains": list(_COOPS),
-             "floor": config.retention_floor},
-        ],
-    })
 
 
 def _payload(mission_payload):
@@ -203,16 +110,19 @@ def _payload(mission_payload):
     }
 
 
-def run(config=PressureConfig()):
+def run():
     """Execute the pressure mission: fault-free baseline, the storm,
     then the storm again (determinism)."""
-    mission_report = run_mission(build_mission(config))
+    mission = report.load_scenario(MISSION)
+    mission_report = run_mission(mission)
     checks = verdicts(mission_report)
     return PressureResult(
-        config=config,
+        seed=mission["mission"]["seed"],
+        retention_floor=checks["bandwidth_retention"]["floor"],
         baseline=_payload(mission_report["runs"]["baseline"]),
         storm=_payload(mission_report["runs"]["storm"]),
         reproducible=mission_report["reproducible"],
+        passed=mission_report["passed"],
         **{name: checks[kind]["passed"] for name, kind in _VERDICTS.items()})
 
 
@@ -241,10 +151,10 @@ def format_result(result):
     lines.append("guarantees held throughout: %s"
                  % ("yes" if result.guarantees_held else "NO"))
     lines.append("bandwidth retention >= %.0f%%: %s"
-                 % (100 * result.config.retention_floor,
+                 % (100 * result.retention_floor,
                     "yes" if result.bandwidth_held else "NO"))
     lines.append("storm reproducible (seed %d): %s"
-                 % (result.config.seed,
+                 % (result.seed,
                     "yes" if result.reproducible else "NO"))
     return "\n".join(lines)
 
@@ -254,7 +164,7 @@ def main():
     result = run()
     print(format_result(result))
     if not result.passed:
-        raise SystemExit("pressure: revocation-under-pressure check FAILED")
+        raise SystemExit("pressure: revocation-under-pressure mission check FAILED")
 
 
 if __name__ == "__main__":

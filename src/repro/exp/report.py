@@ -12,6 +12,12 @@ import sys
 
 from repro.sim.units import MS, SEC, fmt_time
 
+#: The repository's committed mission corpus, found from this file so
+#: the mission-backed scenarios run from any working directory.
+MISSIONS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))), "missions")
+
 
 def table(headers, rows, title=None):
     """Render an aligned ASCII table.
@@ -121,6 +127,16 @@ def write_json(out_dir, name, payload):
     return path
 
 
+def load_scenario(name):
+    """Load and validate the committed mission ``missions/<name>.toml``
+    that a scenario wrapper (``chaos``, ``pressure``, ``crash``,
+    ``integrity``) runs."""
+    # Imported here, as in write_json.
+    from repro.missions import load_mission
+
+    return load_mission(os.path.join(MISSIONS_DIR, "%s.toml" % name))
+
+
 def pop_out_dir(argv):
     """Remove ``--out DIR`` from the list ``argv``; returns ``DIR``
     (default ``results``), or None when ``--out`` has no directory."""
@@ -158,3 +174,27 @@ def scenario_main(name, argv, config, smoke_config, run, format_result):
     print()
     print("wrote %s" % path)
     return 1 if not payload["passed"] and not config.smoke else 0
+
+
+def mission_main(name, argv, run, format_result, gate):
+    """The CLI ``[--out DIR]`` shared by the mission-backed scenarios
+    that keep their full report (``crash``, ``integrity``): run, print
+    the verdicts, write the canonical report to ``<name>.json``
+    (default dir ``results``); exit 1 on an unknown argument, on
+    ``--out`` without a directory or on a failed mission, naming the
+    failed ``gate``."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    out_dir = pop_out_dir(argv)
+    if out_dir is None:
+        return 1
+    if argv:
+        print("usage: python -m repro.exp %s [--out DIR]" % name)
+        return 1
+    result = run()
+    print(format_result(result))
+    path = write_json(out_dir, name, result.report)
+    print("full report: %s" % path)
+    if not result.passed:
+        print("%s: %s check FAILED" % (name, gate))
+        return 1
+    return 0

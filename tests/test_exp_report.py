@@ -176,6 +176,35 @@ class TestScenarioMain:
         assert json.loads((tmp_path / "fake.json").read_text())["smoke"]
 
 
+class _Loaded(Exception):
+    """Raised by the stubbed runner to stop a scenario before it runs."""
+
+
+class TestScenarioMissionFiles:
+    """Each mission-backed scenario finds and validates its committed
+    file from any working directory; the runner is stubbed out, so no
+    simulation starts."""
+
+    @pytest.mark.parametrize("name,mission", [
+        ("chaos", "chaos-fig9"),
+        ("pressure", "pressure-revocation"),
+        ("crash", "crash-recovery"),
+        ("integrity", "integrity-accountability"),
+    ])
+    def test_found_from_any_directory(self, name, mission, tmp_path,
+                                      monkeypatch):
+        module = importlib.import_module("repro.exp.%s" % name)
+
+        def run_mission(loaded):
+            raise _Loaded(loaded)
+
+        monkeypatch.setattr(module, "run_mission", run_mission)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(_Loaded) as caught:
+            module.run()
+        assert caught.value.args[0]["mission"]["name"] == mission
+
+
 class TestMissionWrapperMain:
     """The ``crash``/``integrity`` CLI rejects bad arguments before any
     run starts."""

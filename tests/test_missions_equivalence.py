@@ -24,13 +24,6 @@ from repro.missions import load_mission
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden",
                        "bespoke_equivalence.json")
 
-#: The mission sections that determine a run's numbers.  ``mission``
-#: (description/smoke flag) and ``expect`` (declared invariants) are
-#: presentation: two missions equal on these sections produce
-#: byte-identical run payloads under the deterministic runner.
-RUN_SECTIONS = ("schema", "topology", "workload", "drivers",
-                "behaviors", "phases", "runs", "determinism")
-
 #: The tiny configuration the scale capture was taken at — small
 #: stretches and windows so the equivalence run stays in tier-1 time.
 TINY_SCALE = scale.ScaleConfig(
@@ -45,24 +38,9 @@ def _fixture(key):
         return json.load(fh)[key]
 
 
-def _run_sections(mission):
-    return {key: mission[key] for key in RUN_SECTIONS}
-
-
 class TestCorpusMatchesWrappers:
-    """The committed corpus files are the wrappers' missions: equal on
-    every run-determining section (they add only description, the
-    smoke flag, and declared ``expect`` invariants)."""
-
-    def test_chaos_corpus(self):
-        corpus = load_mission("missions/chaos-fig9.toml")
-        built = chaos.build_mission(chaos.ChaosConfig())
-        assert _run_sections(corpus) == _run_sections(built)
-
-    def test_pressure_corpus(self):
-        corpus = load_mission("missions/pressure-revocation.toml")
-        built = pressure.build_mission(pressure.PressureConfig())
-        assert _run_sections(corpus) == _run_sections(built)
+    """The committed corpus files are the wrappers' missions (each
+    wrapper loads and runs its file; there is no second copy)."""
 
     def test_corpus_declares_invariants(self):
         """The corpus versions are not vacuous ports: each declares

@@ -23,7 +23,8 @@ from repro.missions import (load_mission, report_json, run_mission,
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(REPO, "tests", "golden")
 
-#: One committed golden report per corpus family.
+#: One committed golden report per corpus family, plus the missions the
+#: ``crash`` and ``integrity`` scenarios run.
 GOLDEN_MISSIONS = [
     ("chaos", os.path.join("missions", "chaos-fig9.toml")),
     ("pressure", os.path.join("missions", "pressure-revocation.toml")),
@@ -34,6 +35,9 @@ GOLDEN_MISSIONS = [
                                 "corruption-bitflip-sfs.toml")),
     ("crash-recovery", os.path.join("missions", "matrix",
                                     "crash-pager-sfs.toml")),
+    ("crash", os.path.join("missions", "crash-recovery.toml")),
+    ("integrity", os.path.join("missions",
+                               "integrity-accountability.toml")),
 ]
 
 

@@ -22,7 +22,7 @@ def test_pressure_scenario_passes():
         % (result.baseline["kills"], result.storm["kills"]))
     assert result.claim_satisfied
     for name in result.coops:
-        assert result.retention(name) >= result.config.retention_floor, (
+        assert result.retention(name) >= result.retention_floor, (
             "%s retained only %.1f%% of fault-free bandwidth"
             % (name, 100 * result.retention(name)))
     assert result.reproducible, "same-seed storm runs diverged"
